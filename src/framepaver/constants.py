@@ -1,15 +1,17 @@
 """Certified constants for power-law localization bounds.
 
-Three quantities drive every certificate:
+Three quantities drive every certificate, and each reduces to Hurwitz zeta
+values enclosed by :func:`framepaver.bounds.hurwitz_zeta` (Euler–Maclaurin
+with a rigorous remainder bound and a float64 rounding allowance):
 
-* ``zeta(s)``: the Riemann zeta value, enclosed by a partial sum bracketed
-  with integral tails.
+* ``zeta(s)``: the Riemann zeta value, ``hurwitz_zeta(s, 1)``, a few ulps
+  wide.
 * ``sup_decay_sum(s)``: the supremum over real x of
   ``sum_{n>=1} (1 + |n - x|)**(-s)``, the uniform one-row mass of a
-  unit-spaced index set.  Numerically the supremum is approached at integers
-  deep in the interior, where the sum tends to ``1 + 2*(zeta(s) - 1)``; the
-  returned enclosure uses certified grid evaluations as the lower endpoint
-  and the analytic value as the upper endpoint, so it stays valid even
+  unit-spaced index set.  At an integer x = m the sum is exactly
+  ``2*zeta(s) - 1 - zeta(s, m + 1)``, increasing in m towards
+  ``2*zeta(s) - 1``; the enclosure takes that value at m + 1 = 2**1000 as
+  its lower endpoint and the limit as its upper endpoint, so it stays valid
   without the attainment argument.
 * ``separation_constant(s)``: an admissible constant kappa such that every
   index set with pairwise gaps >= delta has one-row mass at most
@@ -22,69 +24,35 @@ Three quantities drive every certificate:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .bounds import (
     Interval,
-    partial_power_sum,
-    power_sum_terms_for,
-    power_tail_bracket,
+    hurwitz_zeta,
     require_exponent,
     rounding_allowance,
 )
-from .parallel import thread_cap
-
-# Hard cap on summation length; ~2 GB of chunked traffic, a few seconds.
-_MAX_TERMS = 200_000_000
-
-_SEPARATION_ZETA_TOL = 1e-12
-
-
-def _plan_terms(s: float, tol: float) -> int:
-    """Summands needed for a width-tol enclosure, allowance room included."""
-    est_allowance = rounding_allowance(1.0 + 1.0 / (s - 1.0))
-    budget = tol - 4.0 * est_allowance
-    if budget <= 0.0:
-        raise ValueError(f"zeta tolerance {tol} is below float64 resolution")
-    return power_sum_terms_for(s, budget)
-
-
-@lru_cache(maxsize=256)
-def _zeta_impl(s: float, tol: float) -> Interval:
-    terms = min(_plan_terms(s, tol), _MAX_TERMS)
-    partial = partial_power_sum(s, terms)
-    allowance = rounding_allowance(partial)
-    tail = power_tail_bracket(s, terms)
-    return Interval(partial + tail.lo - allowance, partial + tail.hi + allowance)
 
 
 def zeta(s: float, tol: float = 1e-9) -> Interval:
     """Enclosure of the Riemann zeta function with width <= tol.
 
-    The partial sum over k <= K is bracketed by the integral tails
-    ``int_{K+1}^inf x**-s dx <= tail <= int_K^inf x**-s dx``; K is chosen
-    from the tolerance.  Raises when the tolerance would need more than the
-    summation cap (only reachable for s close to 1 with tight tolerances).
+    The enclosure is ``hurwitz_zeta(s, 1)``, a few float64 ulps of the value
+    wide (under 1e-12 for every s >= 1.01).  Raises ``ValueError`` when tol
+    is below that resolution.
     """
     s = require_exponent(s)
     if not (tol > 0.0):
         raise ValueError(f"tolerance must be positive, got {tol}")
-    if _plan_terms(s, float(tol)) > _MAX_TERMS:
+    enc = hurwitz_zeta(s, 1.0)
+    if enc.width > tol:
         raise ValueError(
-            f"zeta enclosure at tol={tol} for s={s} would need more than the "
-            f"summation cap of {_MAX_TERMS} terms (relax the tolerance)")
-    return _zeta_impl(s, float(tol))
-
-
-def _zeta_relaxed(s: float, tol: float) -> Interval:
-    """zeta enclosure at the requested width when reachable, else the
-    tightest one the summation cap affords (still a valid enclosure)."""
-    return _zeta_impl(require_exponent(s), float(tol))
+            f"zeta tolerance {tol} is below float64 resolution at s={s} "
+            f"(enclosure width {enc.width:.3g})")
+    return enc
 
 
 def separation_constant(s: float) -> float:
@@ -93,55 +61,36 @@ def separation_constant(s: float) -> float:
     Uses the upper end of the zeta enclosure so the result errs upward;
     anything >= 2*zeta(s) keeps every downstream certificate valid.
     """
-    s = require_exponent(s)
-    return 2.0 * _zeta_relaxed(s, _SEPARATION_ZETA_TOL).hi
+    return 2.0 * hurwitz_zeta(s, 1.0).hi
 
 
-# Depth of the interior grid pass; matches the one-period scan oracle.
-_GRID_BASE = 50
-_GRID_STEP = 1e-3
-_GRID_HEAD_TERMS = 400
-_SUP_MAX_TERMS = 20_000_000
+# m + 1 for the interior integer m where the lower endpoint is taken: any
+# integer is valid, and one this deep leaves a far tail below float64
+# resolution unless s is within a few hundredths of 1.
+_SUP_DEPTH = 2.0 ** 1000
 
 
 def sup_decay_sum(s: float, tol: float = 1e-6) -> Interval:
     """Enclosure of sup over real x of sum_{n>=1} (1 + |n - x|)**(-s).
 
-    Lower endpoint: certified evaluations of the sum at an integer deep in
-    the interior (where the left part is a plain partial sum) and on a
-    step-1e-3 grid across one period, each with integral tail brackets; any
+    Lower endpoint: the sum at the integer x = m, which is exactly
+    ``2*zeta(s) - 1 - zeta(s, m + 1)``, taken at m + 1 = 2**1000; any such
     evaluation is a valid lower bound for the supremum.  Upper endpoint:
     ``2*zeta(s) - 1``, the limit value along integers, which dominates the
-    whole line for s > 1.  The width meets ``tol`` whenever the required
-    interior depth fits the summation cap.
+    whole line for s > 1.  The width is the far tail ``zeta(s, 2**1000)``
+    plus a few ulps, so it meets ``tol`` whenever float64 can (for
+    s >= 1.03 at tol = 1e-6); otherwise the tightest valid enclosure is
+    returned.
     """
     s = require_exponent(s)
     if not (tol > 0.0):
         raise ValueError(f"tolerance must be positive, got {tol}")
-    z = _zeta_relaxed(s, min(tol / 4.0, 1e-9))
+    z = hurwitz_zeta(s, 1.0)
+    far = hurwitz_zeta(s, _SUP_DEPTH)
     upper = math.nextafter(2.0 * z.hi - 1.0, math.inf)
-
-    # Interior depth so that the missing left tail <= tol/2.
-    depth = math.ceil((2.0 / ((s - 1.0) * tol)) ** (1.0 / (s - 1.0)))
-    depth = max(_GRID_BASE, min(depth, _SUP_MAX_TERMS))
-    head = partial_power_sum(s, depth) - 1.0  # sum over j = 2..depth
-    lower = z.lo + head - rounding_allowance(head + 1.0)
-
-    # One-period scan: numerical support that integers carry the supremum,
-    # and an independent family of lower bounds.
-    xs = _GRID_BASE + np.arange(0.0, 1.0 + _GRID_STEP / 2.0, _GRID_STEP)
-    n = np.arange(1.0, _GRID_BASE + _GRID_HEAD_TERMS + 1.0)
-    sums = np.power(1.0 + np.abs(n[None, :] - xs[:, None]), -s).sum(axis=1)
-    a = n[-1] - xs  # distance from each x to the first omitted index, minus 1
-    tail_lo = (2.0 + a) ** (1.0 - s) / (s - 1.0)
-    grid_allowance = rounding_allowance(float(sums.max()))
-    grid_lower = float((sums + tail_lo).max()) - grid_allowance
-    lower = max(lower, grid_lower, 1.0)  # the term at n = x alone gives 1
-
-    if lower > upper:
-        raise RuntimeError(
-            f"sup_decay_sum enclosure collapsed for s={s}: [{lower}, {upper}]")
-    return Interval(lower, upper)
+    lower = math.nextafter(math.fsum((2.0 * z.lo, -1.0, -far.hi)), -math.inf)
+    # The term at n = x alone gives 1.
+    return Interval(max(lower, 1.0), upper)
 
 
 class SeparationCheck(NamedTuple):
@@ -187,13 +136,7 @@ def verify_separation_bound(s: float, delta_max: int, trunc: int) -> SeparationV
         bound = kappa / float(delta) ** s
         return SeparationCheck(delta, measured, bound, measured * float(delta) ** s / kappa)
 
-    deltas = range(1, delta_max + 1)
-    workers = min(thread_cap(), delta_max)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            checks = tuple(pool.map(check, deltas))
-    else:
-        checks = tuple(check(d) for d in deltas)
+    checks = tuple(check(d) for d in range(1, delta_max + 1))
     worst = max(c.ratio for c in checks)
     return SeparationVerdict(passed=all(c.measured <= c.bound for c in checks),
                              worst_ratio=worst, checks=checks)

@@ -173,6 +173,29 @@ def choose_modulus(amplitude: float, exponent: float, diag_floor: float) -> int:
     return m
 
 
+# envelope.bound is a pow (within 2 ulp) and a division: relative error at
+# most 5u.  Scaling by 1 + 8 eps and rounding leaves at least 1 + 14u.
+_ENVELOPE_UP = 1.0 + 8.0 * math.ulp(1.0)
+
+
+def _min_margin(out: float, row: list[float]) -> float:
+    """min(out, a lower bound on one row's margin); consumes row.
+
+    ``row`` holds the off-diagonal moduli and the negated diagonal, so its
+    exact sum is minus the margin.  fsum rounds correctly, so the bound is
+    the rounded margin when that is exact and one ulp below it otherwise.
+    A rounded margin above out cannot bring the minimum below out, and
+    skips the exactness test.
+    """
+    margin = -math.fsum(row)
+    if margin > out:
+        return out
+    row.append(margin)
+    if math.fsum(row) != 0.0:
+        margin = math.nextafter(margin, -math.inf)
+    return min(out, margin)
+
+
 def _explicit_margin(g: GramSystem, members: Sequence[int],
                      envelope: DecayEnvelope | None,
                      diag_floor: float | None) -> float:
@@ -182,12 +205,13 @@ def _explicit_margin(g: GramSystem, members: Sequence[int],
     if members[0] < 1:
         raise ValueError(f"indices are 1-based, got {members[0]}")
     if members[-1] <= g.size:
-        # Fully observed: compensated row sums, exact up to one rounding each.
+        # Fully observed: each row's margin is one compensated sum.
         sub = g.submatrix(members)
         out = math.inf
         for i in range(len(members)):
             row = [float(sub[i, j]) for j in range(len(members)) if j != i]
-            out = min(out, float(sub[i, i]) - math.fsum(row))
+            row.append(-float(sub[i, i]))
+            out = _min_margin(out, row)
         return out
     # Some members lie beyond the truncation: exact entries where observed,
     # envelope bounds elsewhere, asserted floor for unobserved diagonals.
@@ -202,11 +226,11 @@ def _explicit_margin(g: GramSystem, members: Sequence[int],
     worst = math.inf
     for n in members:
         diag = g.entry(n, n) if n <= g.size else float(diag_floor)
-        terms = [g.entry(n, m) if (n <= g.size and m <= g.size)
-                 else envelope.bound(abs(n - m))
-                 for m in members if m != n]
-        # One ulp down per rounding keeps this a true lower bound.
-        worst = min(worst, math.nextafter(diag - math.fsum(terms), -math.inf))
+        row = [g.entry(n, m) if (n <= g.size and m <= g.size)
+               else envelope.bound(abs(n - m)) * _ENVELOPE_UP
+               for m in members if m != n]
+        row.append(-diag)
+        worst = _min_margin(worst, row)
     return worst
 
 
@@ -240,7 +264,7 @@ def class_margin_lower_bound(g: GramSystem, cls,
 
         diag_floor - 2*amplitude*sum_{k>=1} (1 + k*modulus)**(-exponent)
 
-    with the series enclosed by a partial sum plus integral tail; the bound
+    with the series enclosed by :func:`shifted_power_sum`; the bound
     is uniform over the class.  Negative results are legal (they simply fail
     certification).
     """

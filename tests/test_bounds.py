@@ -1,14 +1,14 @@
 import math
+import tracemalloc
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from framepaver.bounds import (
     Interval,
-    partial_power_sum,
-    power_sum_terms_for,
-    power_tail_bracket,
+    hurwitz_zeta,
     require_exponent,
     shifted_power_sum,
 )
@@ -53,23 +53,36 @@ class TestRequireExponent:
         assert require_exponent(1.0000001) == 1.0000001
 
 
-class TestPartialPowerSum:
-    def test_matches_fsum(self):
-        for s in (1.5, 2.0, 3.7):
-            expected = math.fsum(k ** (-s) for k in range(1, 5001))
-            assert partial_power_sum(s, 5000) == pytest.approx(expected, rel=1e-14)
+GRID_S = (1.01, 1.05, 1.1, 1.5, 2.0, 3.0, 6.0, 12.0)
 
-    def test_tail_bracket_is_a_bracket(self):
-        # True tail from a much longer compensated sum.
-        s = 2.0
-        tail = power_tail_bracket(s, 1000)
-        true_tail = math.fsum(k ** (-s) for k in range(1001, 3_000_001))
-        assert tail.lo <= true_tail <= tail.hi
 
-    def test_terms_for_meets_width(self):
-        for s, tol in [(2.0, 1e-9), (1.5, 1e-6), (4.0, 1e-12)]:
-            k = power_sum_terms_for(s, tol)
-            assert power_tail_bracket(s, k).width <= tol
+def _contains(enc, value):
+    return mpmath.mpf(enc.lo) <= value <= mpmath.mpf(enc.hi)
+
+
+class TestHurwitzZeta:
+    @pytest.mark.parametrize("s", GRID_S)
+    def test_contains_mpmath_on_grid(self, s):
+        with mpmath.workdps(40):
+            for step in range(1, 65):
+                a = 1.0 + 1.0 / step
+                assert _contains(hurwitz_zeta(s, a), mpmath.zeta(s, a)), (s, step)
+            assert _contains(hurwitz_zeta(s, 1.0), mpmath.zeta(s))
+
+    def test_far_tail_underflow_is_a_valid_interval(self):
+        enc = hurwitz_zeta(6.0, 1e73)
+        assert enc.lo >= 0.0 and enc.hi > 0.0
+        with mpmath.workdps(40):
+            assert _contains(enc, mpmath.zeta(6, mpmath.mpf(1e73)))
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(InvalidExponent):
+            hurwitz_zeta(1.0, 1.0)
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                hurwitz_zeta(2.0, bad)
+        with pytest.raises(ValueError):
+            hurwitz_zeta(2.0, 1e-200)  # the first term overflows
 
 
 class TestShiftedPowerSum:
@@ -96,6 +109,22 @@ class TestShiftedPowerSum:
             shifted_power_sum(0, 2.0)
         with pytest.raises(ValueError):
             shifted_power_sum(1, 2.0, tol=0.0)
+
+    @pytest.mark.parametrize("s", GRID_S)
+    def test_contains_mpmath_on_grid(self, s):
+        with mpmath.workdps(40):
+            for step in range(1, 65):
+                exact = mpmath.mpf(step) ** (-s) * mpmath.zeta(s, 1 + mpmath.mpf(1) / step)
+                assert _contains(shifted_power_sum(step, s), exact), (s, step)
+
+    def test_peak_memory_is_small(self):
+        tracemalloc.start()
+        try:
+            shifted_power_sum(31, 1.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @given(step=st.integers(min_value=1, max_value=50),
            s=st.floats(min_value=1.2, max_value=6.0))

@@ -1,6 +1,9 @@
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
 import sys
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import framepaver
 from framepaver import GramSystem, gram_dumps, gram_loads
 from framepaver.cli import dispatch
 
@@ -45,6 +49,18 @@ class TestConstantsCommand:
         code, _, err = run(["constants", "--s", "1.0"])
         assert code == 1
         assert "error" in err
+
+    def test_python_dash_m_matches_dispatch(self, run):
+        src = str(pathlib.Path(framepaver.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        for argv, expected_code in ((["constants", "--s", "2"], 0),
+                                    (["constants", "--s", "1.0"], 1)):
+            proc = subprocess.run([sys.executable, "-m", "framepaver", *argv],
+                                  capture_output=True, text=True, env=env,
+                                  timeout=120)
+            code, out, _ = run(argv)
+            assert proc.returncode == code == expected_code
+            assert proc.stdout == out
 
 
 class TestGenCommand:

@@ -1,4 +1,6 @@
 import math
+import statistics
+import time
 
 import mpmath
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from framepaver import (
     InvalidExponent,
     LocalizationConstants,
+    choose_modulus,
     separation_constant,
     sup_decay_sum,
     verify_separation_bound,
@@ -44,9 +47,22 @@ class TestZeta:
     def test_nested_tolerances_nest(self, s, tol):
         assert zeta(s, tol).encloses(zeta(s, tol / 10.0))
 
-    def test_unreachable_tolerance_raises(self):
+    def test_tight_tolerance_near_one_is_met(self):
+        enc = zeta(1.05, 1e-12)
+        assert enc.width <= 1e-12
+        with mpmath.workdps(40):
+            assert enc.lo <= mpmath.zeta(1.05) <= enc.hi
+
+    def test_tolerance_below_float64_resolution_raises(self):
         with pytest.raises(ValueError):
-            zeta(1.05, 1e-12)
+            zeta(2.0, 1e-18)
+
+    @pytest.mark.parametrize("s", [1.01, 1.05, 1.1, 1.5, 2.0, 3.0, 6.0, 12.0])
+    def test_width_promise_down_to_1e_12(self, s):
+        enc = zeta(s, 1e-12)
+        assert enc.width <= 1e-12
+        with mpmath.workdps(40):
+            assert enc.lo <= mpmath.zeta(s) <= enc.hi
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(InvalidExponent):
@@ -164,3 +180,13 @@ class TestLocalizationConstants:
         assert c.zeta.contains(math.pi**2 / 6.0)
         assert c.sup_sum.contains(2.0 * math.pi**2 / 6.0 - 1.0)
         assert c.separation == separation_constant(2.0)
+
+
+@pytest.mark.parametrize("s", [1.05, 1.1, 1.5, 2.0, 3.0])
+def test_choose_modulus_is_fast_cold(s):
+    times = []
+    for _ in range(20):
+        start = time.perf_counter()
+        choose_modulus(1.0, s, 1.0)
+        times.append(time.perf_counter() - start)
+    assert statistics.median(times) < 1e-3

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -193,6 +194,39 @@ class TestClassMargin:
             g = power_law_gram(1.0, 2.0, 1.0, size)
             exact.append(class_margin_lower_bound(g, members))
         assert exact[0] >= exact[1] >= exact[2]
+
+
+# Off-diagonal moduli spread over many binades, so that row sums round.
+_MODULUS = st.floats(min_value=1e-6, max_value=1.0)
+
+
+@given(data=st.data())
+def test_margins_are_lower_bounds_when_rows_cancel(data):
+    # Each diagonal is the rounded sum of its row, so the exact margin is
+    # zero or a rounding error of either sign.
+    t = data.draw(st.integers(min_value=2, max_value=5))
+    e = np.array(data.draw(st.lists(st.lists(_MODULUS, min_size=t, max_size=t),
+                                    min_size=t, max_size=t)))
+    for i in range(t):
+        e[i, i] = math.fsum(e[i, j] for j in range(t) if j != i)
+    exact = min(Fraction(float(e[i, i]))
+                - sum(Fraction(float(e[i, j])) for j in range(t) if j != i)
+                for i in range(t))
+    g = GramSystem.from_entries(e)
+    members = tuple(range(1, t + 1))
+    assert class_margin_lower_bound(g, members) <= exact
+    cert = certify(g, Paving(classes=(members,), modulus=None, range_end=t), 0.0)
+    assert all(m <= exact for m in cert.per_class_margin)
+    if exact < 0:
+        assert not cert.passed
+
+
+def test_margin_that_rounds_up_is_nudged_below():
+    # 1 - x lies just below 1 and rounds to 1; the bound must not.
+    x = 2.0 ** -54 * (1.0 - 2.0 ** -10)
+    g = GramSystem.from_entries([[1.0, x], [x, 1.0]])
+    assert Fraction(class_margin_lower_bound(g, [1, 2])) <= 1 - Fraction(x)
+    assert not certify(g, residue_partition(1, 2), 1.0).passed
 
 
 class TestCertify:
