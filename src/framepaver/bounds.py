@@ -172,16 +172,14 @@ def hurwitz_zeta(s: float, a: float) -> Interval:
     return _power_series(s, a, 1.0)
 
 
-def shifted_power_sum(step: float, s: float, tol: float = 1e-10) -> Interval:
+def shifted_power_sum(step: float, s: float) -> Interval:
     """Certified enclosure of sum_{k>=1} (1 + k*step)**(-s).
 
     This is the per-class tail mass of an index set with consecutive gaps
     >= step under a power-law envelope, ``step**(-s) * zeta(s, 1 + 1/step)``,
     summed directly over the exact bases ``1 + step + k*step``.  Needs
     ``step >= 1`` with ``1 + step`` exact in float64 (every integer step
-    below 2**53).  The width is a few ulps of the value, so ``tol`` is met
-    whenever float64 can meet it; otherwise the tightest valid enclosure is
-    returned.
+    below 2**53).  The width is a few ulps of the value.
     """
     s = require_exponent(s)
     step = float(step)
@@ -189,6 +187,4 @@ def shifted_power_sum(step: float, s: float, tol: float = 1e-10) -> Interval:
         raise ValueError(f"separation step must be at least 1, got {step}")
     if math.fsum((1.0, step, -(1.0 + step))) != 0.0:
         raise ValueError(f"separation step {step} is too fine: 1 + step rounds")
-    if not (tol > 0.0):
-        raise ValueError(f"tolerance must be positive, got {tol}")
     return _power_series(s, 1.0 + step, step)

@@ -45,8 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--s", type=float, required=True, help="decay exponent")
     q.add_argument("--C", type=float, required=True, help="diagonal value")
     q.add_argument("--size", type=int, required=True)
-    q.add_argument("--seed", type=int, default=None,
-                   help="sign-pattern seed recorded in metadata")
     q.add_argument("--out")
     q.set_defaults(func=_cmd_gen_power_law)
 
@@ -150,8 +148,7 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_gen_power_law(args) -> int:
-    seed = "all-positive" if args.seed is None else args.seed
-    g = power_law_gram(args.A, args.s, args.C, args.size, sign_seed=seed)
+    g = power_law_gram(args.A, args.s, args.C, args.size)
     _emit(gram_to_json_dict(g), args.out)
     return 0
 

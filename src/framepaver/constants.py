@@ -70,7 +70,7 @@ def separation_constant(s: float) -> float:
 _SUP_DEPTH = 2.0 ** 1000
 
 
-def sup_decay_sum(s: float, tol: float = 1e-6) -> Interval:
+def sup_decay_sum(s: float) -> Interval:
     """Enclosure of sup over real x of sum_{n>=1} (1 + |n - x|)**(-s).
 
     Lower endpoint: the sum at the integer x = m, which is exactly
@@ -78,13 +78,9 @@ def sup_decay_sum(s: float, tol: float = 1e-6) -> Interval:
     evaluation is a valid lower bound for the supremum.  Upper endpoint:
     ``2*zeta(s) - 1``, the limit value along integers, which dominates the
     whole line for s > 1.  The width is the far tail ``zeta(s, 2**1000)``
-    plus a few ulps, so it meets ``tol`` whenever float64 can (for
-    s >= 1.03 at tol = 1e-6); otherwise the tightest valid enclosure is
-    returned.
+    plus a few ulps (under 1e-6 for s >= 1.03).
     """
     s = require_exponent(s)
-    if not (tol > 0.0):
-        raise ValueError(f"tolerance must be positive, got {tol}")
     z = hurwitz_zeta(s, 1.0)
     far = hurwitz_zeta(s, _SUP_DEPTH)
     upper = math.nextafter(2.0 * z.hi - 1.0, math.inf)
@@ -158,8 +154,7 @@ class LocalizationConstants:
             raise ValueError("separation constant is at least 2 (zeta exceeds 1)")
 
     @classmethod
-    def compute(cls, s: float, zeta_tol: float = 1e-9,
-                sup_tol: float = 1e-6) -> "LocalizationConstants":
+    def compute(cls, s: float, zeta_tol: float = 1e-9) -> "LocalizationConstants":
         s = require_exponent(s)
-        return cls(s=s, zeta=zeta(s, zeta_tol), sup_sum=sup_decay_sum(s, sup_tol),
+        return cls(s=s, zeta=zeta(s, zeta_tol), sup_sum=sup_decay_sum(s),
                    separation=separation_constant(s))

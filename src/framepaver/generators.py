@@ -17,16 +17,14 @@ from .errors import DimensionMismatch, WindowTooLong
 from .gram import DecayEnvelope, GramSystem
 
 
-def power_law_gram(amplitude: float, exponent: float, diag: float, size: int,
-                   sign_seed: int | str = "all-positive") -> GramSystem:
+def power_law_gram(amplitude: float, exponent: float, diag: float,
+                   size: int) -> GramSystem:
     """Exact power-law system: diagonal ``diag``, off-diagonal
     ``amplitude/(1+d)**exponent`` at distance d.
 
     The envelope (amplitude, exponent) and the diagonal floor are attained
     by construction and attached as global assertions, so certificates over
-    the whole index set are honest for this family.  ``sign_seed`` only
-    records how a sign pattern would be reproduced; stored entries are
-    moduli, which every downstream formula consumes.
+    the whole index set are honest for this family.
     """
     s = require_exponent(exponent)
     amplitude = float(amplitude)
@@ -45,8 +43,7 @@ def power_law_gram(amplitude: float, exponent: float, diag: float, size: int,
         profile[1:] = amplitude / (1.0 + d) ** s
     envelope = DecayEnvelope(amplitude, s) if amplitude > 0.0 else None
     return GramSystem.from_distance_profile(
-        profile, envelope=envelope, diag_floor=diag, tol_env=0.0,
-        metadata={"generator": "power-law", "sign_seed": sign_seed})
+        profile, envelope=envelope, diag_floor=diag, tol_env=0.0)
 
 
 def translate_frame_gram(window, period: int) -> GramSystem:
@@ -73,8 +70,7 @@ def translate_frame_gram(window, period: int) -> GramSystem:
     padded[: w.size] = w
     profile = np.array([float(padded @ np.roll(padded, -d))
                         for d in range(period // 2 + 1)])
-    return GramSystem.from_cyclic_profile(
-        profile, period, metadata={"generator": "translates"})
+    return GramSystem.from_cyclic_profile(profile, period)
 
 
 @dataclass(frozen=True)

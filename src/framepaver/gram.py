@@ -98,15 +98,14 @@ class GramSystem:
     with the asserted diagonal floor.
     """
 
-    __slots__ = ("_mode", "_data", "_size", "envelope", "diag_floor", "metadata")
+    __slots__ = ("_mode", "_data", "_size", "envelope", "diag_floor")
 
-    def __init__(self, *, mode, data, size, envelope, diag_floor, tol_env, metadata):
+    def __init__(self, *, mode, data, size, envelope, diag_floor, tol_env):
         self._mode = mode
         self._data = data
         self._size = size
         self.envelope = envelope
         self.diag_floor = diag_floor
-        self.metadata = dict(metadata) if metadata else {}
         self._validate(tol_env)
 
     # -- constructors ------------------------------------------------------
@@ -114,8 +113,7 @@ class GramSystem:
     @classmethod
     def from_entries(cls, entries, envelope: DecayEnvelope | None = None,
                      diag_floor: float | None = None, *,
-                     tol_env: float = DEFAULT_ENVELOPE_TOL,
-                     metadata: dict | None = None) -> "GramSystem":
+                     tol_env: float = DEFAULT_ENVELOPE_TOL) -> "GramSystem":
         """Dense construction from a square array of moduli."""
         arr = np.asarray(entries, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
@@ -123,13 +121,12 @@ class GramSystem:
         arr = arr.copy()
         arr.setflags(write=False)
         return cls(mode=_DENSE, data=arr, size=int(arr.shape[0]), envelope=envelope,
-                   diag_floor=diag_floor, tol_env=tol_env, metadata=metadata)
+                   diag_floor=diag_floor, tol_env=tol_env)
 
     @classmethod
     def from_distance_profile(cls, profile, envelope: DecayEnvelope | None = None,
                               diag_floor: float | None = None, *,
-                              tol_env: float = DEFAULT_ENVELOPE_TOL,
-                              metadata: dict | None = None) -> "GramSystem":
+                              tol_env: float = DEFAULT_ENVELOPE_TOL) -> "GramSystem":
         """Toeplitz construction: entry(n, m) = profile[|n - m|].
 
         ``profile`` has length size; profile[0] is the diagonal value.
@@ -140,14 +137,13 @@ class GramSystem:
         prof = prof.copy()
         prof.setflags(write=False)
         return cls(mode=_TOEPLITZ, data=prof, size=int(prof.size), envelope=envelope,
-                   diag_floor=diag_floor, tol_env=tol_env, metadata=metadata)
+                   diag_floor=diag_floor, tol_env=tol_env)
 
     @classmethod
     def from_cyclic_profile(cls, profile, size: int,
                             envelope: DecayEnvelope | None = None,
                             diag_floor: float | None = None, *,
-                            tol_env: float = DEFAULT_ENVELOPE_TOL,
-                            metadata: dict | None = None) -> "GramSystem":
+                            tol_env: float = DEFAULT_ENVELOPE_TOL) -> "GramSystem":
         """Circulant construction: entry(n, m) = profile[min(d, size - d)], d = |n - m|.
 
         ``profile`` has length size//2 + 1, indexed by cyclic distance.
@@ -160,7 +156,7 @@ class GramSystem:
         prof = prof.copy()
         prof.setflags(write=False)
         return cls(mode=_CIRCULANT, data=prof, size=size, envelope=envelope,
-                   diag_floor=diag_floor, tol_env=tol_env, metadata=metadata)
+                   diag_floor=diag_floor, tol_env=tol_env)
 
     # -- invariants ---------------------------------------------------------
 

@@ -9,14 +9,13 @@ production), so instance size is capped.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 import numpy as np
 
 from .errors import Infeasible, IndexOutOfRange
 from .gram import GramSystem
-from .partition import Paving
+from .partition import Paving, _class_margin
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -26,9 +25,10 @@ DEFAULT_SIZE_CAP = 16
 def exact_margin(g: GramSystem, members: Sequence[int]) -> float:
     """min over n in the class of entry(n,n) - sum_{m in class, m != n} entry(n,m).
 
-    Sums are compensated (math.fsum), so the result is exact up to one final
-    rounding.  Negative margins are legal outputs; an empty class has margin
-    +inf (vacuous).
+    The result is the exact margin rounded down: the largest float at or
+    below it, so ``exact_margin(g, cls) >= epsilon`` holds exactly when the
+    exact margin is at least epsilon.  Negative margins are legal outputs;
+    an empty class has margin +inf (vacuous).
     """
     cls = sorted(set(int(i) for i in members))
     if not cls:
@@ -36,12 +36,7 @@ def exact_margin(g: GramSystem, members: Sequence[int]) -> float:
     if cls[0] < 1 or cls[-1] > g.size:
         raise IndexOutOfRange(
             f"class members must lie within the truncation 1..{g.size}")
-    sub = g.submatrix(cls)
-    out = math.inf
-    for i in range(len(cls)):
-        row = [float(sub[i, j]) for j in range(len(cls)) if j != i]
-        out = min(out, float(sub[i, i]) - math.fsum(row))
-    return out
+    return _class_margin(g.submatrix(cls))
 
 
 def _dfs(G: np.ndarray, n_limit: int, epsilon: float, slack: float,
@@ -51,16 +46,14 @@ def _dfs(G: np.ndarray, n_limit: int, epsilon: float, slack: float,
     Classes only open in index order and a new index may only join a class
     whose running margins all stay above epsilon - slack: entries are
     nonnegative, so margins only decrease as a class grows and such branches
-    can never recover.  Complete assignments are re-checked with compensated
-    sums before acceptance, making the slack purely protective.
+    can never recover.  Complete assignments are re-checked with the exact
+    class margin before acceptance, making the slack purely protective.
     """
     size = G.shape[0]
     if start == size:
         for cls in classes:
-            for i in range(len(cls)):
-                row = [float(G[cls[i], j]) for j in cls if j != cls[i]]
-                if float(G[cls[i], cls[i]]) - math.fsum(row) < epsilon:
-                    return None
+            if _class_margin(G[np.ix_(cls, cls)]) < epsilon:
+                return None
         return [list(c) for c in classes]
     limit = min(len(classes) + 1, n_limit)
     for c in range(limit):
@@ -93,24 +86,8 @@ def _dfs(G: np.ndarray, n_limit: int, epsilon: float, slack: float,
     return None
 
 
-def _seed_state(G: np.ndarray, prefix: Sequence[int]):
-    """Build classes/margins for a forced assignment of the first indices."""
-    classes: list[list[int]] = []
-    margins: list[list[float]] = []
-    for i, c in enumerate(prefix):
-        if c == len(classes):
-            classes.append([])
-            margins.append([])
-        new_margin = float(G[i, i]) - sum(float(G[i, j]) for j in classes[c])
-        margins[c] = [m - float(G[j, i]) for m, j in zip(margins[c], classes[c])]
-        classes[c].append(i)
-        margins[c].append(new_margin)
-    return classes, margins
-
-
 def min_partition(g: GramSystem, epsilon: float = 1e-12,
-                  cap: int = DEFAULT_SIZE_CAP,
-                  parallel: bool = False) -> tuple[int, Paving]:
+                  cap: int = DEFAULT_SIZE_CAP) -> tuple[int, Paving]:
     """Smallest number of classes paving 1..size with every exact margin >= epsilon.
 
     Exhaustive backtracking with symmetry breaking: index 1 is pinned to
@@ -118,10 +95,6 @@ def min_partition(g: GramSystem, epsilon: float = 1e-12,
     enumerates each set partition exactly once.  Iterative deepening over
     the class count keeps the first witness found lexicographically minimal
     among minimum-size pavings, so identical inputs give identical output.
-
-    ``parallel=True`` splits the search on the class of index 2 and reduces
-    the branch results deterministically; it changes scheduling, never the
-    answer.
     """
     size = g.size
     if size > cap:
@@ -138,19 +111,7 @@ def min_partition(g: GramSystem, epsilon: float = 1e-12,
     slack = 64.0 * _EPS * (mass + 1.0) * size
 
     for n_limit in range(1, size + 1):
-        if parallel and size >= 2 and n_limit >= 2:
-            prefixes = ([0, 0], [0, 1])
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                futures = [
-                    pool.submit(_dfs, G, n_limit, epsilon, slack, *
-                                _seed_state(G, p), 2)
-                    for p in prefixes
-                ]
-                results = [f.result() for f in futures]
-            # Prefix [0, 0] yields the lexicographically smaller witness.
-            hit = results[0] if results[0] is not None else results[1]
-        else:
-            hit = _dfs(G, n_limit, epsilon, slack, [], [], 0)
+        hit = _dfs(G, n_limit, epsilon, slack, [], [], 0)
         if hit is not None:
             classes = tuple(tuple(i + 1 for i in cls) for cls in hit)
             return n_limit, Paving(classes=classes, modulus=None, range_end=size)

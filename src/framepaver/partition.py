@@ -20,9 +20,10 @@ naturals or only for the stored window.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .bounds import require_exponent, shifted_power_sum
 from .constants import separation_constant
@@ -38,7 +39,6 @@ from .gram import (
     GramSystem,
     diag_lower_bound,
 )
-from .parallel import thread_cap
 
 
 @dataclass(frozen=True)
@@ -178,22 +178,30 @@ def choose_modulus(amplitude: float, exponent: float, diag_floor: float) -> int:
 _ENVELOPE_UP = 1.0 + 8.0 * math.ulp(1.0)
 
 
-def _min_margin(out: float, row: list[float]) -> float:
-    """min(out, a lower bound on one row's margin); consumes row.
+def _class_margin(block) -> float:
+    """Largest float at or below min_i (block[i,i] - sum_{j != i} block[i,j]).
 
-    ``row`` holds the off-diagonal moduli and the negated diagonal, so its
-    exact sum is minus the margin.  fsum rounds correctly, so the bound is
-    the rounded margin when that is exact and one ulp below it otherwise.
-    A rounded margin above out cannot bring the minimum below out, and
-    skips the exactness test.
+    ``block`` is a square float array; an empty one has margin +inf.  Each
+    row, with its diagonal negated, sums exactly to minus the row margin,
+    and fsum rounds that sum correctly.  A rounded margin above the running
+    minimum cannot lower it and is skipped.  Otherwise a second fsum with
+    the rounded margin appended gives the sign of the rounding error: when
+    positive the rounded margin overstates, and the largest float below it
+    is at or below the exact margin.  Rows are converted one at a time, so
+    no Python copy of the whole block is made.
     """
-    margin = -math.fsum(row)
-    if margin > out:
-        return out
-    row.append(margin)
-    if math.fsum(row) != 0.0:
-        margin = math.nextafter(margin, -math.inf)
-    return min(out, margin)
+    out = math.inf
+    for i in range(len(block)):
+        row = block[i].tolist()
+        row[i] = -row[i]
+        margin = 0.0 - math.fsum(row)  # an exact zero margin is +0.0
+        if margin > out:
+            continue
+        row.append(margin)
+        if math.fsum(row) > 0.0:
+            margin = math.nextafter(margin, -math.inf)
+        out = margin
+    return out
 
 
 def _explicit_margin(g: GramSystem, members: Sequence[int],
@@ -205,14 +213,7 @@ def _explicit_margin(g: GramSystem, members: Sequence[int],
     if members[0] < 1:
         raise ValueError(f"indices are 1-based, got {members[0]}")
     if members[-1] <= g.size:
-        # Fully observed: each row's margin is one compensated sum.
-        sub = g.submatrix(members)
-        out = math.inf
-        for i in range(len(members)):
-            row = [float(sub[i, j]) for j in range(len(members)) if j != i]
-            row.append(-float(sub[i, i]))
-            out = _min_margin(out, row)
-        return out
+        return _class_margin(g.submatrix(members))
     # Some members lie beyond the truncation: exact entries where observed,
     # envelope bounds elsewhere, asserted floor for unobserved diagonals.
     if envelope is None:
@@ -223,15 +224,15 @@ def _explicit_margin(g: GramSystem, members: Sequence[int],
         raise MissingEnvelope(
             f"class reaches index {members[-1]} beyond the truncation "
             f"1..{g.size} and no global diagonal floor is asserted")
-    worst = math.inf
-    for n in members:
-        diag = g.entry(n, n) if n <= g.size else float(diag_floor)
-        row = [g.entry(n, m) if (n <= g.size and m <= g.size)
-               else envelope.bound(abs(n - m)) * _ENVELOPE_UP
-               for m in members if m != n]
-        row.append(-diag)
-        worst = _min_margin(worst, row)
-    return worst
+    pos = np.asarray(members, dtype=np.int64)
+    dist = np.abs(pos[:, None] - pos[None, :])
+    distances = np.unique(dist)
+    bounds = np.array([envelope.bound(int(d)) * _ENVELOPE_UP for d in distances])
+    block = bounds[np.searchsorted(distances, dist)]
+    observed = int(np.count_nonzero(pos <= g.size))
+    block[:observed, :observed] = g.submatrix(members[:observed])
+    np.fill_diagonal(block[observed:, observed:], float(diag_floor))
+    return _class_margin(block)
 
 
 def _residue_margin(cls: ResidueClass, envelope: DecayEnvelope | None,
@@ -245,7 +246,7 @@ def _residue_margin(cls: ResidueClass, envelope: DecayEnvelope | None,
             "diagonal floor")
     # Distances within the class are multiples of the modulus, each hit at
     # most twice (one neighbor on each side), uniformly in the base index.
-    tail = shifted_power_sum(cls.modulus, envelope.exponent, tol=1e-10)
+    tail = shifted_power_sum(cls.modulus, envelope.exponent)
     off_hi = 2.0 * envelope.amplitude * tail.hi
     # Two roundings (multiply, subtract); nudge down one ulp for each.
     out = float(diag_floor) - off_hi
@@ -258,9 +259,11 @@ def class_margin_lower_bound(g: GramSystem, cls,
     """Certified lower bound on the margin of one class.
 
     ``cls`` is either an explicit index sequence or a :class:`ResidueClass`
-    over all the naturals.  Observed entries contribute exactly; members
-    beyond the truncation contribute through the envelope (and the asserted
-    floor for their diagonals).  For a residue class the bound is
+    over all the naturals.  Observed entries contribute exactly, so a class
+    inside the truncation gets the largest float at or below its exact
+    margin; members beyond the truncation contribute through the envelope
+    (and the asserted floor for their diagonals).  For a residue class the
+    bound is
 
         diag_floor - 2*amplitude*sum_{k>=1} (1 + k*modulus)**(-exponent)
 
@@ -331,17 +334,8 @@ def certify(g: GramSystem, paving: Paving, epsilon: float | None = None) -> ARSC
         if paving.range_end < g.size:
             raise PavingCoverageError(
                 missing=range(paving.range_end + 1, g.size + 1))
-        classes = paving.classes
-        workers = min(thread_cap(), len(classes))
-
-        def one(cls: tuple[int, ...]) -> float:
-            return _explicit_margin(g, cls, g.envelope, g.diag_floor)
-
-        if workers > 1 and len(classes) > 2:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                margins = tuple(pool.map(one, classes))
-        else:
-            margins = tuple(one(cls) for cls in classes)
+        margins = tuple(_explicit_margin(g, cls, g.envelope, g.diag_floor)
+                        for cls in paving.classes)
         scope = SCOPE_TRUNCATION
 
     verdict = "PASS" if all(m >= epsilon for m in margins) else "FAIL"

@@ -54,7 +54,7 @@ def test_criterion_2_certified_constants():
     c2 = separation_constant(2.0)
     assert math.pi**2 / 3.0 <= c2 <= math.pi**2 / 3.0 + 1e-9
 
-    d2 = sup_decay_sum(2.0, 1e-6)
+    d2 = sup_decay_sum(2.0)
     true_d2 = 2.0 * math.pi**2 / 6.0 - 1.0
     assert d2.contains(true_d2)
     assert true_d2 - 1e-6 <= d2.lo and d2.hi <= true_d2 + 1e-6

@@ -89,7 +89,7 @@ class TestShiftedPowerSum:
     @pytest.mark.parametrize("step,s", [(1, 2.0), (3, 2.0), (2, 1.5), (5, 3.0)])
     def test_contains_oracle(self, step, s):
         lo, hi = brute_shifted_sum(step, s)
-        enc = shifted_power_sum(step, s, tol=1e-10)
+        enc = shifted_power_sum(step, s)
         # Both are enclosures of the same series; they must overlap, and the
         # library one must contain the oracle's midpoint.
         assert enc.lo <= hi and lo <= enc.hi
@@ -99,7 +99,7 @@ class TestShiftedPowerSum:
     def test_residue_three_value(self):
         # sum_{k>=1} (1+3k)^-2 = 0.121733... ; twice it is the 0.2435 mass
         # appearing in the separation check.
-        enc = shifted_power_sum(3, 2.0, tol=1e-10)
+        enc = shifted_power_sum(3, 2.0)
         assert 2.0 * enc.midpoint == pytest.approx(0.2434660, abs=1e-6)
 
     def test_rejects_bad_arguments(self):
@@ -107,8 +107,6 @@ class TestShiftedPowerSum:
             shifted_power_sum(1, 1.0)
         with pytest.raises(ValueError):
             shifted_power_sum(0, 2.0)
-        with pytest.raises(ValueError):
-            shifted_power_sum(1, 2.0, tol=0.0)
 
     @pytest.mark.parametrize("s", GRID_S)
     def test_contains_mpmath_on_grid(self, s):

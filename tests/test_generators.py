@@ -67,10 +67,6 @@ class TestPowerLawGram:
         assert g.envelope is None
         assert np.array_equal(g.dense(), np.eye(4))
 
-    def test_sign_seed_recorded(self):
-        g = power_law_gram(1.0, 2.0, 1.0, 4, sign_seed=42)
-        assert g.metadata["sign_seed"] == 42
-
     def test_rejects_bad_arguments(self):
         with pytest.raises(InvalidExponent):
             power_law_gram(1.0, 1.0, 1.0, 4)

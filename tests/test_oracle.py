@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,15 +37,27 @@ def all_partitions(n):
     yield from rec(0, 0, [])
 
 
+def fraction_margin(G, cls):
+    """Exact rational margin of a class of 0-based indices."""
+    return min(Fraction(float(G[i, i]))
+               - sum(Fraction(float(G[i, j])) for j in cls if j != i)
+               for i in cls)
+
+
 def brute_force_min(g, epsilon):
     """Unpruned reference: scan every set partition, track the smallest
-    feasible class count."""
+    class count whose classes all have exact rational margin >= epsilon."""
+    G = g.dense()
+    feasible = {}
     best = None
     for partition in all_partitions(g.size):
-        classes = [[i + 1 for i in cls] for cls in partition]
-        if all(exact_margin(g, cls) >= epsilon for cls in classes):
-            if best is None or len(classes) < best:
-                best = len(classes)
+        for cls in partition:
+            key = tuple(cls)
+            if key not in feasible:
+                feasible[key] = fraction_margin(G, cls) >= epsilon
+        if all(feasible[tuple(cls)] for cls in partition):
+            if best is None or len(partition) < best:
+                best = len(partition)
     return best
 
 
@@ -76,6 +89,17 @@ class TestExactMargin:
         g = GramSystem.from_entries(e)
         # margin is row-based: row 1 loses 0.8, row 2 loses 0.1
         assert exact_margin(g, [1, 2]) == pytest.approx(0.2, abs=1e-15)
+
+    def test_cancelling_row_below_zero_is_rejected(self):
+        # Row 1 of the full class has exact margin 1 - 1 - 2**-60; rounding
+        # the row sum to 1 before subtracting would report 0 and accept it.
+        g = GramSystem.from_entries([[1.0, 1.0, 2.0**-60],
+                                     [0.0, 1.0, 0.0],
+                                     [0.0, 0.0, 1.0]])
+        assert exact_margin(g, [1, 2, 3]) == -2.0**-60
+        n, paving = min_partition(g, epsilon=0.0)
+        assert n == 2
+        assert paving.classes == ((1, 2), (3,))
 
 
 class TestMinPartition:
@@ -122,16 +146,6 @@ class TestMinPartition:
         first = min_partition(g, 1e-12)
         second = min_partition(g, 1e-12)
         assert first == second
-
-    def test_parallel_matches_sequential(self):
-        for seed in range(5):
-            rng = np.random.default_rng(seed)
-            t = int(rng.integers(2, 8))
-            e = rng.uniform(0.0, 0.7, size=(t, t))
-            e = (e + e.T) / 2.0
-            np.fill_diagonal(e, 1.0)
-            g = GramSystem.from_entries(e)
-            assert min_partition(g, 1e-12, parallel=True) == min_partition(g, 1e-12)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_unpruned_enumerator(self, seed):

@@ -19,6 +19,7 @@ from framepaver import (
     certify,
     choose_modulus,
     class_margin_lower_bound,
+    exact_margin,
     paving_from_json_dict,
     paving_to_json_dict,
     power_law_gram,
@@ -214,7 +215,10 @@ def test_margins_are_lower_bounds_when_rows_cancel(data):
                 for i in range(t))
     g = GramSystem.from_entries(e)
     members = tuple(range(1, t + 1))
-    assert class_margin_lower_bound(g, members) <= exact
+    # Both margins are the exact one rounded down: the largest float at or
+    # below it.
+    for m in (class_margin_lower_bound(g, members), exact_margin(g, members)):
+        assert Fraction(m) <= exact < Fraction(math.nextafter(m, math.inf))
     cert = certify(g, Paving(classes=(members,), modulus=None, range_end=t), 0.0)
     assert all(m <= exact for m in cert.per_class_margin)
     if exact < 0:
@@ -247,6 +251,8 @@ class TestCertify:
         g = GramSystem.from_entries([[1.0, 1.0], [1.0, 1.0]])
         cert = certify(g, residue_partition(1, 2), 0.0)
         assert cert.passed  # margin is exactly zero
+        # ... and serializes as 0.0, not -0.0
+        assert math.copysign(1.0, cert.per_class_margin[0]) == 1.0
         cert = certify(g, residue_partition(1, 2), 1e-9)
         assert not cert.passed
 
