@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import itertools
+
 
 class FramePaverError(Exception):
     """Base class for all framepaver errors."""
@@ -38,17 +40,27 @@ class InvalidGramData(FramePaverError):
 
 
 class PavingCoverageError(FramePaverError):
-    """A paving does not exactly cover the declared index range."""
+    """A paving does not exactly cover the declared index range.
 
-    def __init__(self, missing=(), extra=(), duplicated=()):
-        self.missing = tuple(sorted(missing))
-        self.extra = tuple(sorted(extra))
-        self.duplicated = tuple(sorted(duplicated))
+    ``missing``, ``extra`` and ``duplicated`` hold the smallest indices of
+    each kind, at most ``SHOWN`` of them, and ``n_missing``, ``n_extra`` and
+    ``n_duplicated`` count them all.  Missing indices are passed in
+    increasing order, with their count when they come as an iterator.
+    """
+
+    SHOWN = 10
+
+    def __init__(self, missing=(), extra=(), duplicated=(), *, n_missing=None):
+        self.n_missing = len(missing) if n_missing is None else n_missing
+        self.n_extra, self.n_duplicated = len(extra), len(duplicated)
+        self.missing = tuple(itertools.islice(missing, self.SHOWN))
+        self.extra = tuple(sorted(extra)[:self.SHOWN])
+        self.duplicated = tuple(sorted(duplicated)[:self.SHOWN])
         parts = []
-        if self.missing:
-            parts.append(f"missing indices {list(self.missing)}")
-        if self.extra:
-            parts.append(f"indices outside the range {list(self.extra)}")
-        if self.duplicated:
-            parts.append(f"duplicated indices {list(self.duplicated)}")
+        for label, shown, count in (("missing indices", self.missing, self.n_missing),
+                                    ("indices outside the range", self.extra, self.n_extra),
+                                    ("duplicated indices", self.duplicated, self.n_duplicated)):
+            if count:
+                more = f" and {count - len(shown)} more" if count > len(shown) else ""
+                parts.append(f"{label} {list(shown)}{more}")
         super().__init__("paving does not cover the range: " + "; ".join(parts))

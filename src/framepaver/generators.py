@@ -42,8 +42,7 @@ def power_law_gram(amplitude: float, exponent: float, diag: float,
         d = np.arange(1, size, dtype=np.float64)
         profile[1:] = amplitude / (1.0 + d) ** s
     envelope = DecayEnvelope(amplitude, s) if amplitude > 0.0 else None
-    return GramSystem.from_distance_profile(
-        profile, envelope=envelope, diag_floor=diag, tol_env=0.0)
+    return GramSystem.from_distance_profile(profile, envelope=envelope, diag_floor=diag)
 
 
 def translate_frame_gram(window, period: int) -> GramSystem:

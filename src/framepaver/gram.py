@@ -13,9 +13,9 @@ the naturals:
 Entries within the truncation are exact data; entries beyond it are known
 only through those assertions, which is what :func:`entry_bound` encodes.
 
-Large generated systems whose entries depend only on the index distance are
-stored as a distance profile instead of a dense matrix; the public contract
-is identical, only memory and validation costs differ.
+A system is stored either as a dense matrix or, when its entries depend
+only on the index distance, as a distance profile; the public contract is
+identical, only memory and validation costs differ.
 """
 
 from __future__ import annotations
@@ -37,13 +37,18 @@ from .errors import (
 SCOPE_GLOBAL = "global"
 SCOPE_TRUNCATION = "truncation-only"
 
-#: Default slack when checking stored entries against an asserted envelope
-#: or diagonal floor; float64 headroom for sums of up to ~1e6 terms.
-DEFAULT_ENVELOPE_TOL = 1e-9
+# envelope.bound is a pow (within 2 ulp) and a division: relative error at
+# most 5u.  Scaling by 1 + 8 eps and rounding leaves at least 1 + 14u, so a
+# stored entry equal to the bound passes, and an unobserved entry charged
+# at bound * _ENVELOPE_UP is never undercharged.
+_ENVELOPE_UP = 1.0 + 8.0 * math.ulp(1.0)
+
+# A diagonal may dip this far below its asserted floor; sound because
+# diag_lower_bound reports min(observed, floor).
+_FLOOR_HEADROOM = 1e-9
 
 _DENSE = "dense"
 _TOEPLITZ = "toeplitz"
-_CIRCULANT = "circulant"
 
 
 @dataclass(frozen=True)
@@ -92,76 +97,76 @@ class EnvelopeFit:
 class GramSystem:
     """Immutable nonnegative cross-Gram truncation with optional tail model.
 
-    Indices are 1-based throughout the public interface.  Construction
-    validates every stored invariant: nonnegative entries, consistency with
-    the envelope on the truncation (within ``tol_env``), and consistency
-    with the asserted diagonal floor.
+    Indices are 1-based throughout the public interface.  Storage is a dense
+    matrix or a distance profile.  Construction validates every stored
+    invariant: finite nonnegative entries, every off-diagonal entry under
+    the envelope, and the diagonal at the asserted floor.
     """
 
     __slots__ = ("_mode", "_data", "_size", "envelope", "diag_floor")
 
-    def __init__(self, *, mode, data, size, envelope, diag_floor, tol_env):
+    def __init__(self, *, mode, data, size, envelope, diag_floor):
         self._mode = mode
         self._data = data
         self._size = size
         self.envelope = envelope
         self.diag_floor = diag_floor
-        self._validate(tol_env)
+        self._validate()
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_entries(cls, entries, envelope: DecayEnvelope | None = None,
-                     diag_floor: float | None = None, *,
-                     tol_env: float = DEFAULT_ENVELOPE_TOL) -> "GramSystem":
-        """Dense construction from a square array of moduli."""
-        arr = np.asarray(entries, dtype=np.float64)
+                     diag_floor: float | None = None) -> "GramSystem":
+        """Dense construction from a square array of moduli.
+
+        The entries are copied unless they are a read-only float64 array
+        that owns its data; such an array is kept, and must stay read-only.
+        """
+        arr = _frozen(entries)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise InvalidGramData(f"entries must be a square matrix, got shape {arr.shape}")
-        arr = arr.copy()
-        arr.setflags(write=False)
         return cls(mode=_DENSE, data=arr, size=int(arr.shape[0]), envelope=envelope,
-                   diag_floor=diag_floor, tol_env=tol_env)
+                   diag_floor=diag_floor)
 
     @classmethod
     def from_distance_profile(cls, profile, envelope: DecayEnvelope | None = None,
-                              diag_floor: float | None = None, *,
-                              tol_env: float = DEFAULT_ENVELOPE_TOL) -> "GramSystem":
+                              diag_floor: float | None = None) -> "GramSystem":
         """Toeplitz construction: entry(n, m) = profile[|n - m|].
 
-        ``profile`` has length size; profile[0] is the diagonal value.
+        ``profile`` has length size; profile[0] is the diagonal value.  It is
+        copied on the terms of :meth:`from_entries`.
         """
-        prof = np.asarray(profile, dtype=np.float64)
+        prof = _frozen(profile)
         if prof.ndim != 1 or prof.size < 1:
             raise InvalidGramData("distance profile must be a nonempty vector")
-        prof = prof.copy()
-        prof.setflags(write=False)
         return cls(mode=_TOEPLITZ, data=prof, size=int(prof.size), envelope=envelope,
-                   diag_floor=diag_floor, tol_env=tol_env)
+                   diag_floor=diag_floor)
 
     @classmethod
     def from_cyclic_profile(cls, profile, size: int,
                             envelope: DecayEnvelope | None = None,
-                            diag_floor: float | None = None, *,
-                            tol_env: float = DEFAULT_ENVELOPE_TOL) -> "GramSystem":
+                            diag_floor: float | None = None) -> "GramSystem":
         """Circulant construction: entry(n, m) = profile[min(d, size - d)], d = |n - m|.
 
-        ``profile`` has length size//2 + 1, indexed by cyclic distance.
+        ``profile`` has length size//2 + 1, indexed by cyclic distance; the
+        system stores the distance profile it implies.
         """
         prof = np.asarray(profile, dtype=np.float64)
         size = int(size)
         if size < 1 or prof.ndim != 1 or prof.size != size // 2 + 1:
             raise InvalidGramData(
                 f"cyclic profile must have length {size // 2 + 1} for size {size}")
-        prof = prof.copy()
-        prof.setflags(write=False)
-        return cls(mode=_CIRCULANT, data=prof, size=size, envelope=envelope,
-                   diag_floor=diag_floor, tol_env=tol_env)
+        d = np.arange(size)
+        line = prof[np.minimum(d, size - d)]
+        line.setflags(write=False)
+        return cls.from_distance_profile(line, envelope, diag_floor)
 
     # -- invariants ---------------------------------------------------------
 
-    def _validate(self, tol_env: float) -> None:
-        if np.any(self._data < 0.0) or not np.all(np.isfinite(self._data)):
+    def _validate(self) -> None:
+        # min and max propagate NaN, which fails both comparisons
+        if not (self._data.min() >= 0.0 and self._data.max() < math.inf):
             raise InvalidGramData("entries must be finite nonnegative moduli")
         if self.envelope is not None and not isinstance(self.envelope, DecayEnvelope):
             raise InvalidGramData("envelope must be a DecayEnvelope")
@@ -169,16 +174,16 @@ class GramSystem:
             floor = float(self.diag_floor)
             if not (math.isfinite(floor) and floor >= 0.0):
                 raise InvalidGramData(f"diag_floor must be finite nonnegative, got {floor}")
-            if float(self.diag().min()) < floor - tol_env:
-                raise InvalidGramData(
-                    f"diagonal dips to {self.diag().min()} below asserted floor {floor}")
+            low = float(self.diag().min())
+            if low < floor - _FLOOR_HEADROOM:
+                raise InvalidGramData(f"diagonal dips to {low} below asserted floor {floor}")
         if self.envelope is not None:
-            verdict = verify_envelope(self, self.envelope, tol=tol_env)
+            verdict = verify_envelope(self, self.envelope)
             if not verdict.passed:
                 n, m, excess = verdict.violations[0]
                 raise InvalidGramData(
                     f"entries exceed the asserted envelope at ({n}, {m}) by {excess} "
-                    f"({len(verdict.violations)} violating pairs)")
+                    f"({len(verdict.violations)} violating distances)")
 
     # -- accessors -----------------------------------------------------------
 
@@ -193,10 +198,7 @@ class GramSystem:
                 f"entry ({n}, {m}) is outside the stored truncation 1..{self._size}")
         if self._mode == _DENSE:
             return float(self._data[n - 1, m - 1])
-        d = abs(n - m)
-        if self._mode == _CIRCULANT:
-            d = min(d, self._size - d)
-        return float(self._data[d])
+        return float(self._data[abs(n - m)])
 
     def diag(self) -> np.ndarray:
         if self._mode == _DENSE:
@@ -204,14 +206,10 @@ class GramSystem:
         return np.full(self._size, self._data[0])
 
     def dense(self) -> np.ndarray:
-        """Materialize the full matrix; O(size^2) memory for profile modes."""
+        """Materialize the full matrix; O(size^2) memory for profile storage."""
         if self._mode == _DENSE:
             return self._data.copy()
-        idx = np.arange(self._size)
-        d = np.abs(idx[:, None] - idx[None, :])
-        if self._mode == _CIRCULANT:
-            d = np.minimum(d, self._size - d)
-        return self._data[d]
+        return self.submatrix(range(1, self._size + 1))
 
     def submatrix(self, indices: Iterable[int]) -> np.ndarray:
         """Principal submatrix at the given 1-based indices (given order)."""
@@ -221,38 +219,47 @@ class GramSystem:
                 f"indices must lie in 1..{self._size}")
         if self._mode == _DENSE:
             return self._data[np.ix_(pos - 1, pos - 1)]
-        d = np.abs(pos[:, None] - pos[None, :])
-        if self._mode == _CIRCULANT:
-            d = np.minimum(d, self._size - d)
-        return self._data[d]
+        return self._data[np.abs(pos[:, None] - pos[None, :])]
 
     def bandwidth(self) -> int:
         """Largest |n - m| carrying a nonzero entry (0 for diagonal systems)."""
-        if self._mode == _DENSE:
-            for off in range(self._size - 1, 0, -1):
-                if np.any(self._data.diagonal(off)) or np.any(self._data.diagonal(-off)):
-                    return off
-            return 0
-        for d in range(self._size - 1, 0, -1):
-            c = min(d, self._size - d) if self._mode == _CIRCULANT else d
-            if self._data[c] != 0.0:
-                return d
-        return 0
+        nonzero = np.flatnonzero(self._distance_values())
+        return int(nonzero[-1]) + 1 if nonzero.size else 0
 
     def __repr__(self) -> str:
         return (f"GramSystem(size={self._size}, storage={self._mode}, "
                 f"envelope={self.envelope}, diag_floor={self.diag_floor})")
 
-    # internal: iterate (distance, value) pairs once per distinct distance
-    def _distance_values(self):
+    def _distance_values(self) -> np.ndarray:
+        """Largest stored modulus at each distance d = 1..size-1, at index d - 1.
+
+        Dense storage reads the two diagonals at +d and -d as views, so no
+        size x size temporary is made.
+        """
         if self._mode == _TOEPLITZ:
-            dists = np.arange(1, self._size)
-            return dists, self._data[1:]
-        if self._mode == _CIRCULANT:
-            dists = np.arange(1, self._size)
-            cyc = np.minimum(dists, self._size - dists)
-            return dists, self._data[cyc]
-        return None
+            return self._data[1:]
+        a = self._data
+        return np.array([max(a.diagonal(d).max(), a.diagonal(-d).max())
+                         for d in range(1, self._size)], dtype=np.float64)
+
+    def _peak_pair(self, d: int) -> tuple[int, int]:
+        """Smallest 1-based (n, m) holding the largest entry at distance d."""
+        if self._mode == _TOEPLITZ:
+            return 1, 1 + d
+        upper, lower = self._data.diagonal(d), self._data.diagonal(-d)
+        i, j = int(upper.argmax()), int(lower.argmax())  # rows i + 1 and j + 1 + d
+        if upper[i] > lower[j] or (upper[i] == lower[j] and i < j + d):
+            return i + 1, i + 1 + d
+        return j + 1 + d, j + 1
+
+
+def _frozen(values) -> np.ndarray:
+    """Read-only float64 array of values; a copy unless read-only and owning its data."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.flags.writeable or not arr.flags.owndata:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
 
 
 def entry_bound(g: GramSystem, n: int, m: int) -> Interval:
@@ -287,56 +294,26 @@ def certified_min_amplitude(g: GramSystem, exponent: float) -> float:
     s = require_exponent(exponent)
     if g.size == 1:
         return 0.0
-    pairs = g._distance_values()
-    if pairs is not None:
-        dists, values = pairs
-        return float(np.max(values * (1.0 + dists) ** s))
-    dense = g.dense()
-    idx = np.arange(g.size)
-    dist = np.abs(idx[:, None] - idx[None, :]).astype(np.float64)
-    ratios = dense * (1.0 + dist) ** s
-    np.fill_diagonal(ratios, 0.0)
-    return float(ratios.max())
+    dists = np.arange(1, g.size)
+    return float(np.max(g._distance_values() * (1.0 + dists) ** s))
 
 
-_EPS = float(np.finfo(np.float64).eps)
+def verify_envelope(g: GramSystem, envelope: DecayEnvelope) -> EnvelopeVerdict:
+    """Check every stored off-diagonal entry against the envelope.
 
-
-def verify_envelope(g: GramSystem, envelope: DecayEnvelope,
-                    tol: float = 0.0) -> EnvelopeVerdict:
-    """Check entries <= envelope bound + tol for every off-diagonal pair.
-
-    A pair counts as violating only when its excess exceeds the float64
-    evaluation error of the bound itself (a few ulp), so a system whose
-    entries equal the bound never fails on rounding noise.  On failure the
-    verdict carries every violating ordered pair (n, m) with its excess.
+    An entry violates when it exceeds ``envelope.bound(d)`` by more than the
+    float64 evaluation error of the bound itself (a few ulp), so a system
+    whose entries equal the bound never fails on rounding noise.  On failure
+    the verdict carries one violation per violating distance, in order of
+    distance: the pair holding the largest entry at that distance (smallest
+    row first on ties) and its excess over the bound.
     """
-    if tol < 0.0:
-        raise ValueError(f"tolerance must be nonnegative, got {tol}")
-    size = g.size
-    violations: list[Violation] = []
-    pairs = g._distance_values()
-    if pairs is not None:
-        dists, values = pairs
-        bound = envelope.bound(dists.astype(np.float64))
-        excess = values - bound
-        for d in np.nonzero(excess > tol + 8.0 * _EPS * bound)[0]:
-            dist = int(dists[d])
-            e = float(excess[d])
-            for n in range(1, size - dist + 1):
-                violations.append(Violation(n, n + dist, e))
-                violations.append(Violation(n + dist, n, e))
-    else:
-        dense = g.dense()
-        idx = np.arange(size)
-        dist = np.abs(idx[:, None] - idx[None, :]).astype(np.float64)
-        np.fill_diagonal(dist, 1.0)  # placeholder; diagonal excluded below
-        bound = envelope.bound(dist)
-        excess = dense - bound
-        np.fill_diagonal(excess, -np.inf)
-        for i, j in np.argwhere(excess > tol + 8.0 * _EPS * bound):
-            violations.append(Violation(int(i) + 1, int(j) + 1, float(excess[i, j])))
-    violations.sort()
+    values = g._distance_values()
+    bound = envelope.bound(np.arange(1, g.size, dtype=np.float64))
+    violations = []
+    for k in np.flatnonzero(values > bound * _ENVELOPE_UP):
+        n, m = g._peak_pair(int(k) + 1)
+        violations.append(Violation(n, m, float(values[k] - bound[k])))
     return EnvelopeVerdict(passed=not violations, violations=tuple(violations))
 
 
@@ -422,12 +399,26 @@ def gram_to_json_dict(g: GramSystem) -> dict:
     }
 
 
-def _require_number(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidGramData(f"{what} must be a number, got {value!r}")
-    out = float(value)
-    if not math.isfinite(out):
-        raise InvalidGramData(f"{what} must be finite, got {value!r}")
+_NUMBER_TYPES = {int, float}
+
+
+def _require_numbers(values, length: int, what: str) -> np.ndarray:
+    """Float64 array of a JSON list of ``length`` finite numbers.
+
+    The type test runs over the whole list at once; ``bool``, strings, null
+    and nested lists are rejected.  Errors name ``what``.
+    """
+    if not isinstance(values, list) or len(values) != length:
+        raise InvalidGramData(f"{what} must be a list of {length} numbers")
+    if not set(map(type, values)) <= _NUMBER_TYPES:
+        bad = next(v for v in values if type(v) not in _NUMBER_TYPES)
+        raise InvalidGramData(f"{what} must hold numbers only, got {type(bad).__name__}")
+    try:
+        out = np.array(values, dtype=np.float64)
+    except OverflowError:
+        raise InvalidGramData(f"{what} holds an integer too large for float64") from None
+    if not (out.min() > -math.inf and out.max() < math.inf):  # NaN fails both
+        raise InvalidGramData(f"{what} must be finite")
     return out
 
 
@@ -458,35 +449,32 @@ def gram_from_json_dict(payload) -> GramSystem:
         dense = np.zeros((size, size))
         for i, band in enumerate(bands):
             off = i - bandwidth
-            if not isinstance(band, list) or len(band) != size - abs(off):
-                raise InvalidGramData(
-                    f"band at offset {off} must have length {size - abs(off)}")
-            vals = [_require_number(v, f"band[{off}] value") for v in band]
+            vals = _require_numbers(band, size - abs(off), f"band at offset {off}")
             rows = np.arange(max(0, -off), max(0, -off) + len(vals))
             dense[rows, rows + off] = vals
     else:
         if not isinstance(raw, list) or len(raw) != size:
             raise InvalidGramData(f"entries must be {size} rows")
+        dense = np.empty((size, size))
         for r, row in enumerate(raw):
-            if not isinstance(row, list) or len(row) != size:
-                raise InvalidGramData(f"entries row {r} must have length {size}")
-            for v in row:
-                _require_number(v, f"entries[{r}] value")
-        dense = np.asarray(raw, dtype=np.float64)
+            dense[r] = _require_numbers(row, size, f"entries row {r}")
+    dense.setflags(write=False)  # from_entries keeps it without a copy
 
     envelope = None
     env_raw = payload.get("envelope")
     if env_raw is not None:
         if not isinstance(env_raw, dict) or set(env_raw) - {"A", "s"}:
             raise InvalidGramData(f"envelope must be {{'A':..., 's':...}}, got {env_raw!r}")
+        amplitude, exponent = _require_numbers(
+            [env_raw.get("A"), env_raw.get("s")], 2, "envelope A and s").tolist()
         try:
-            envelope = DecayEnvelope(_require_number(env_raw.get("A"), "envelope A"),
-                                     _require_number(env_raw.get("s"), "envelope s"))
+            envelope = DecayEnvelope(amplitude, exponent)
         except (ValueError, InvalidExponent) as exc:
             raise InvalidGramData(f"invalid envelope: {exc}") from None
 
     floor_raw = payload.get("diag_floor")
-    floor = None if floor_raw is None else _require_number(floor_raw, "diag_floor")
+    floor = None if floor_raw is None \
+        else _require_numbers([floor_raw], 1, "diag_floor").tolist()[0]
     return GramSystem.from_entries(dense, envelope=envelope, diag_floor=floor)
 
 

@@ -39,7 +39,7 @@ def exact_margin(g: GramSystem, members: Sequence[int]) -> float:
     return _class_margin(g.submatrix(cls))
 
 
-def _dfs(G: np.ndarray, n_limit: int, epsilon: float, slack: float,
+def _dfs(rows: list[list[float]], n_limit: int, epsilon: float, slack: float,
          classes: list[list[int]], margins: list[list[float]], start: int):
     """Depth-first assignment of indices start..T-1; returns class lists or None.
 
@@ -49,36 +49,37 @@ def _dfs(G: np.ndarray, n_limit: int, epsilon: float, slack: float,
     can never recover.  Complete assignments are re-checked with the exact
     class margin before acceptance, making the slack purely protective.
     """
-    size = G.shape[0]
+    size = len(rows)
     if start == size:
         for cls in classes:
-            if _class_margin(G[np.ix_(cls, cls)]) < epsilon:
+            if _class_margin(np.array([[rows[i][j] for j in cls] for i in cls])) < epsilon:
                 return None
         return [list(c) for c in classes]
+    row = rows[start]
     limit = min(len(classes) + 1, n_limit)
     for c in range(limit):
         if c == len(classes):
-            if G[start, start] < epsilon - slack:
+            if row[start] < epsilon - slack:
                 continue
             classes.append([start])
-            margins.append([float(G[start, start])])
-            hit = _dfs(G, n_limit, epsilon, slack, classes, margins, start + 1)
+            margins.append([row[start]])
+            hit = _dfs(rows, n_limit, epsilon, slack, classes, margins, start + 1)
             classes.pop()
             margins.pop()
             if hit is not None:
                 return hit
             continue
         mem = classes[c]
-        new_margin = float(G[start, start]) - sum(float(G[start, j]) for j in mem)
+        new_margin = row[start] - sum(row[j] for j in mem)
         if new_margin < epsilon - slack:
             continue
-        updated = [margins[c][k] - float(G[j, start]) for k, j in enumerate(mem)]
+        updated = [margins[c][k] - rows[j][start] for k, j in enumerate(mem)]
         if any(m < epsilon - slack for m in updated):
             continue
         saved = margins[c]
         margins[c] = updated + [new_margin]
         mem.append(start)
-        hit = _dfs(G, n_limit, epsilon, slack, classes, margins, start + 1)
+        hit = _dfs(rows, n_limit, epsilon, slack, classes, margins, start + 1)
         mem.pop()
         margins[c] = saved
         if hit is not None:
@@ -109,9 +110,10 @@ def min_partition(g: GramSystem, epsilon: float = 1e-12,
             "no paving can certify them even as singletons")
     mass = float(G.sum(axis=1).max()) + float(G.diagonal().max())
     slack = 64.0 * _EPS * (mass + 1.0) * size
+    rows = G.tolist()
 
     for n_limit in range(1, size + 1):
-        hit = _dfs(G, n_limit, epsilon, slack, [], [], 0)
+        hit = _dfs(rows, n_limit, epsilon, slack, [], [], 0)
         if hit is not None:
             classes = tuple(tuple(i + 1 for i in cls) for cls in hit)
             return n_limit, Paving(classes=classes, modulus=None, range_end=size)

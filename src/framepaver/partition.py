@@ -33,6 +33,7 @@ from .errors import (
     PavingCoverageError,
 )
 from .gram import (
+    _ENVELOPE_UP,
     SCOPE_GLOBAL,
     SCOPE_TRUNCATION,
     DecayEnvelope,
@@ -95,11 +96,13 @@ class Paving:
                 if i in seen:
                     duplicated.add(i)
                 seen.add(i)
-        full = set(range(1, self.range_end + 1))
-        missing = full - seen
-        extra = seen - full
-        if missing or extra or duplicated:
-            raise PavingCoverageError(missing=missing, extra=extra, duplicated=duplicated)
+        # Work stays proportional to the members supplied, not to range_end.
+        extra = {i for i in seen if not 1 <= i <= self.range_end}
+        n_missing = self.range_end - (len(seen) - len(extra))
+        missing = (i for i in range(1, self.range_end + 1) if i not in seen)
+        if n_missing or extra or duplicated:
+            raise PavingCoverageError(missing=missing, extra=extra, duplicated=duplicated,
+                                      n_missing=n_missing)
         if self.modulus is not None:
             expected = tuple(tuple(range(j, self.range_end + 1, self.modulus))
                              for j in range(1, self.modulus + 1))
@@ -171,11 +174,6 @@ def choose_modulus(amplitude: float, exponent: float, diag_floor: float) -> int:
     while m > 1 and amplitude * kappa / float(m - 1) ** s <= target:
         m -= 1
     return m
-
-
-# envelope.bound is a pow (within 2 ulp) and a division: relative error at
-# most 5u.  Scaling by 1 + 8 eps and rounding leaves at least 1 + 14u.
-_ENVELOPE_UP = 1.0 + 8.0 * math.ulp(1.0)
 
 
 def _class_margin(block) -> float:
@@ -297,8 +295,13 @@ class ARSCertificate:
             else "FAIL"
         if self.verdict != expected:
             raise ValueError(f"verdict {self.verdict!r} contradicts margins")
+        if len(self.per_class_margin) != self.paving.n_classes:
+            raise ValueError(f"{len(self.per_class_margin)} margins for "
+                             f"{self.paving.n_classes} classes")
         if self.scope not in (SCOPE_GLOBAL, SCOPE_TRUNCATION):
             raise ValueError(f"unknown scope {self.scope!r}")
+        if self.scope == SCOPE_GLOBAL and self.paving.range_end is not None:
+            raise ValueError("a finite paving cannot carry a global scope")
 
     @property
     def passed(self) -> bool:
@@ -413,20 +416,15 @@ def certificate_from_json_dict(payload) -> ARSCertificate:
         raise InvalidGramData(f"certificate payload lacks a required key: {exc!r}") from None
     if not isinstance(classes, dict) or "kind" not in classes:
         raise InvalidGramData("certificate classes must carry a 'kind'")
-    try:
-        if classes["kind"] == "residues":
-            paving = Paving(classes=None, modulus=classes.get("modulus"), range_end=None)
-        elif classes["kind"] == "explicit":
-            raw = classes.get("classes")
-            if not isinstance(raw, list):
-                raise InvalidGramData("explicit certificate classes must be lists")
-            paving = Paving(classes=tuple(tuple(c) for c in raw),
-                            modulus=payload.get("modulus"),
-                            range_end=rng if isinstance(rng, int) else None)
-        else:
-            raise InvalidGramData(f"unknown classes kind {classes['kind']!r}")
-    except (ValueError, TypeError) as exc:
-        raise InvalidGramData(f"invalid certificate paving: {exc}") from None
+    kind = classes["kind"]
+    if kind == "residues":
+        members, modulus = None, classes.get("modulus")
+    elif kind == "explicit" and isinstance(classes.get("classes"), list):
+        members, modulus = classes["classes"], payload.get("modulus")
+    else:
+        raise InvalidGramData(
+            f"certificate classes must be residues or explicit lists, got kind {kind!r}")
+    paving = paving_from_json_dict({"range": rng, "modulus": modulus, "classes": members})
     if not isinstance(margins, list):
         raise InvalidGramData("margins must be a list")
     loaded = tuple(math.inf if m is None else float(m) for m in margins)

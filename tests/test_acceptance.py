@@ -214,6 +214,9 @@ _BAD_TEMPLATES = [
     '{"size": 2, "entries": {"banded": {"bandwidth": 3, "bands": []}}}',
     '{"size": 2, "entries": {"banded": {"bandwidth": 0, "bands": [[1.0]]}}}',
     '{"size": 2, "entries": {"banded": {"bandwidth": -1, "bands": []}}}',
+    '{"size": 1, "entries": [[true]]}',
+    '{"size": 1, "entries": [[1' + '0' * 400 + ']]}',
+    '{"size": 2, "entries": {"banded": {"bandwidth": 0, "bands": [[1.0, false]]}}}',
 ]
 
 

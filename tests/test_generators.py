@@ -60,7 +60,7 @@ class TestPowerLawGram:
     def test_passes_own_envelope_at_zero_tolerance(self):
         for a, s in [(0.5, 1.5), (1.0, 2.0), (2.0, 3.0)]:
             g = power_law_gram(a, s, 1.0, 20)
-            assert verify_envelope(g, DecayEnvelope(a, s), 0.0).passed
+            assert verify_envelope(g, DecayEnvelope(a, s)).passed
 
     def test_zero_amplitude_has_no_envelope(self):
         g = power_law_gram(0.0, 2.0, 1.0, 4)

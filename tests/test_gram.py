@@ -1,5 +1,7 @@
 import json
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,6 +72,17 @@ class TestConstruction:
             GramSystem.from_entries([[1.0, 0.9], [0.9, 1.0]],
                                     envelope=DecayEnvelope(1.0, 2.0))
 
+    def test_rejects_entries_within_old_absolute_slack(self):
+        # 0.9e-9 over the envelope at every distance: an absolute 1e-9 slack
+        # accepted this and certified margins above the exact worst case.
+        d = np.arange(20_000, dtype=np.float64)
+        profile = 1.0 / (1.0 + d) ** 3
+        profile[0] = 1.0
+        profile[1:] += 0.9e-9
+        with pytest.raises(InvalidGramData, match="19999 violating distances"):
+            GramSystem.from_distance_profile(profile, envelope=DecayEnvelope(1.0, 3.0),
+                                             diag_floor=1.0)
+
     def test_rejects_diagonal_below_floor(self):
         with pytest.raises(InvalidGramData):
             GramSystem.from_entries([[0.5]], diag_floor=1.0)
@@ -88,6 +101,7 @@ class TestConstruction:
             [[[2.0, 1.0, 0.25][min(abs(i - j), 5 - abs(i - j))] for j in range(5)]
              for i in range(5)])
         assert np.array_equal(circ.dense(), expected)
+        assert "storage=toeplitz" in repr(circ)
 
     def test_submatrix_matches_dense(self):
         g = power_law_gram(1.0, 2.0, 1.0, 12)
@@ -155,6 +169,25 @@ class TestEntryBound:
         assert true * (1 - 1e-15) <= iv.hi
 
 
+sized_gram = st.integers(min_value=1, max_value=7).flatmap(
+    lambda n: arrays(np.float64, (n, n), elements=st.one_of(
+        st.just(0.0), st.floats(min_value=0.0, max_value=3.0, allow_nan=False))))
+
+
+@given(entries=sized_gram, s=st.floats(min_value=1.1, max_value=5.0))
+def test_distance_views_match_brute_force_on_dense(entries, s):
+    g = GramSystem.from_entries(entries)
+    size = len(entries)
+    pairs = [(i, j) for i in range(size) for j in range(size) if i != j]
+    assert g.bandwidth() == max((abs(i - j) for i, j in pairs if entries[i, j]),
+                                default=0)
+    idx = np.arange(size)
+    dist = np.abs(idx[:, None] - idx[None, :]).astype(np.float64)
+    ratios = entries * (1.0 + dist) ** s
+    assert certified_min_amplitude(g, s) == max((ratios[i, j] for i, j in pairs),
+                                                default=0.0)
+
+
 class TestCertifiedMinAmplitude:
     def test_diagonal_system_gives_zero(self):
         g = GramSystem.from_entries(np.diag([1.0, 2.0, 3.0]))
@@ -192,15 +225,45 @@ class TestCertifiedMinAmplitude:
 class TestVerifyEnvelope:
     def test_generator_passes_its_own_envelope(self):
         g = power_law_gram(2.0, 2.0, 1.0, 10)
-        assert verify_envelope(g, DecayEnvelope(2.0, 2.0), 1e-12).passed
+        assert verify_envelope(g, DecayEnvelope(2.0, 2.0)).passed
 
     def test_tighter_envelope_fails_with_all_pairs(self):
         g = power_law_gram(2.0, 2.0, 1.0, 4)
         verdict = verify_envelope(g, DecayEnvelope(1.0, 2.0))
         assert not verdict.passed
         assert verdict.violations[0] == (1, 2, 0.25)  # 0.5 stored vs 0.25 bound
-        # every ordered off-diagonal pair violates here
-        assert len(verdict.violations) == 4 * 3
+        # every distance violates here; one violation is reported per distance
+        assert [v[:2] for v in verdict.violations] == [(1, 2), (1, 3), (1, 4)]
+
+    def test_dense_reports_largest_pair_per_distance(self):
+        # distance 1: (1, 2) and (2, 1) tie, the smaller row wins; distance 2:
+        # the lower entry (3, 1) is the larger one.
+        e = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.1], [0.3, 0.1, 1.0]])
+        verdict = verify_envelope(GramSystem.from_entries(e), DecayEnvelope(0.4, 2.0))
+        assert [v[:2] for v in verdict.violations] == [(1, 2), (3, 1)]
+        assert verdict.violations[1].excess == 0.3 - 0.4 / 9.0
+
+    def test_profile_rejection_is_small_and_fast(self):
+        g = power_law_gram(1.0, 2.0, 1.0, 2000)
+        tracemalloc.start()
+        start = time.perf_counter()
+        verdict = verify_envelope(g, DecayEnvelope(0.99, 2.0))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert not verdict.passed and len(verdict.violations) == 1999
+        assert elapsed < 0.5
+        assert peak < 1_000_000
+
+    def test_dense_check_makes_no_square_temporary(self):
+        size = 1000
+        g = GramSystem.from_entries(power_law_gram(1.0, 2.0, 1.0, size).dense())
+        tracemalloc.start()
+        verdict = verify_envelope(g, DecayEnvelope(1.0, 2.0))
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert verdict.passed
+        assert peak < size * size  # below even one boolean size x size array
 
     def test_diagonal_system_passes_any_envelope(self):
         g = GramSystem.from_entries(np.diag([1.0, 1.0, 1.0]))
@@ -211,7 +274,7 @@ class TestVerifyEnvelope:
         g = GramSystem.from_entries(entries)
         amplitude = certified_min_amplitude(g, s)
         assume(amplitude > 0.0)
-        assert verify_envelope(g, DecayEnvelope(amplitude, s), 0.0).passed
+        assert verify_envelope(g, DecayEnvelope(amplitude, s)).passed
 
 
 class TestDiagLowerBound:
@@ -245,14 +308,14 @@ class TestFitEnvelope:
     def test_fit_reverifies_on_the_system(self):
         g = power_law_gram(1.5, 2.0, 1.0, 12)
         fit = fit_envelope(g)
-        assert verify_envelope(g, fit.envelope, 0.0).passed
+        assert verify_envelope(g, fit.envelope).passed
         assert fit.objective > 0.0
 
     def test_diagonal_system_gets_token_envelope(self):
         g = GramSystem.from_entries(np.eye(4))
         fit = fit_envelope(g)
         assert fit.envelope.amplitude > 0.0
-        assert verify_envelope(g, fit.envelope, 0.0).passed
+        assert verify_envelope(g, fit.envelope).passed
 
 
 class TestSerialization:
@@ -307,6 +370,17 @@ class TestSerialization:
         '{"size": 1, "entries": [[1.0]], "envelope": {"A": -1.0, "s": 2.0}}',
         '{"size": 1, "entries": [[1.0]], "diag_floor": "big"}',
         '{"size": 2, "entries": {"banded": {"bandwidth": 5, "bands": []}}}',
+        '{"size": 1, "entries": [[true]]}',
+        '{"size": 1, "entries": [[[1.0]]]}',
+        pytest.param('{"size": 1, "entries": [[1%s]]}' % ("0" * 400),
+                     id="dense-int-too-large"),
+        pytest.param('{"size": 2, "entries": {"banded": {"bandwidth": 0, '
+                     '"bands": [[1.0, 1%s]]}}}' % ("0" * 400), id="band-int-too-large"),
+        pytest.param('{"size": 1, "entries": [[1.0]], "diag_floor": 1%s}' % ("0" * 400),
+                     id="floor-int-too-large"),
+        pytest.param('{"size": 1, "entries": [[1.0]], '
+                     '"envelope": {"A": 1%s, "s": 2.0}}' % ("0" * 400),
+                     id="amplitude-int-too-large"),
     ])
     def test_malformed_payloads_rejected(self, payload):
         with pytest.raises(InvalidGramData):

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from framepaver import (
     GramSystem,
+    InvalidGramData,
     MissingEnvelope,
     Paving,
     PavingCoverageError,
@@ -123,6 +125,15 @@ class TestPavingValidation:
         with pytest.raises(PavingCoverageError) as err:
             Paving(classes=((1, 2, 7),), modulus=None, range_end=2)
         assert err.value.extra == (7,)
+
+    def test_huge_range_is_rejected_quickly(self):
+        start = time.perf_counter()
+        with pytest.raises(PavingCoverageError) as err:
+            paving_from_json_dict({"range": 10**9, "classes": [[1]]})
+        assert time.perf_counter() - start < 0.1
+        assert err.value.missing == tuple(range(2, 12))
+        assert err.value.n_missing == 10**9 - 1
+        assert len(str(err.value)) < 200
 
     def test_modulus_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -341,6 +352,28 @@ class TestPavingSerialization:
         cert = certify(g, residue_partition(3, 12), 0.3)
         again = certificate_from_json_dict(certificate_to_json_dict(cert))
         assert again == cert
+
+    @pytest.mark.parametrize("member", [1.9, True, "1"])
+    def test_certificate_rejects_non_integer_member(self, member):
+        payload = certificate_to_json_dict(
+            certify(GramSystem.from_entries(np.eye(6)), residue_partition(3, 6), 0.5))
+        payload["classes"]["classes"][0][0] = member
+        with pytest.raises(InvalidGramData):
+            certificate_from_json_dict(payload)
+
+    def test_certificate_needs_one_margin_per_class(self):
+        payload = certificate_to_json_dict(
+            certify(GramSystem.from_entries(np.eye(6)), residue_partition(3, 6), 0.5))
+        payload["margins"] = []
+        with pytest.raises(InvalidGramData):
+            certificate_from_json_dict(payload)
+
+    def test_finite_certificate_cannot_claim_global_scope(self):
+        payload = certificate_to_json_dict(
+            certify(GramSystem.from_entries(np.eye(6)), residue_partition(3, 6), 0.5))
+        payload["scope"] = SCOPE_GLOBAL
+        with pytest.raises(InvalidGramData):
+            certificate_from_json_dict(payload)
 
     def test_certificate_round_trip_with_empty_class(self):
         g = GramSystem.from_entries(np.eye(3))
