@@ -18,7 +18,7 @@ from .constants import LocalizationConstants
 from .errors import FramePaverError, Infeasible, InvalidGramData
 from .generators import FrameSystem, frame_operator_check, power_law_gram, \
     translate_frame_gram
-from .gram import diag_lower_bound, fit_envelope, gram_from_json_dict, \
+from .gram import diag_lower_bound, fit_envelope, gram_dumps, gram_from_json_dict, \
     gram_to_json_dict
 from .oracle import DEFAULT_SIZE_CAP, exact_margin, min_partition
 from .partition import certificate_from_json_dict, certificate_to_json_dict, \
@@ -189,11 +189,7 @@ def _cmd_fit(args) -> int:
     g, _ = _load_gram(args.input)
     fit = fit_envelope(g)
     if args.apply:
-        from .gram import GramSystem
-        augmented = GramSystem.from_entries(g.dense(), envelope=fit.envelope,
-                                            diag_floor=g.diag_floor)
-        _write(json.dumps(gram_to_json_dict(augmented), indent=2,
-                          allow_nan=False) + "\n", args.apply)
+        _write(gram_dumps(g.with_envelope(fit.envelope)), args.apply)
     _emit({"envelope": {"A": fit.envelope.amplitude, "s": fit.envelope.exponent},
            "objective": fit.objective}, args.out)
     return 0

@@ -13,9 +13,9 @@ the naturals:
 Entries within the truncation are exact data; entries beyond it are known
 only through those assertions, which is what :func:`entry_bound` encodes.
 
-A system is stored either as a dense matrix or, when its entries depend
-only on the index distance, as a distance profile; the public contract is
-identical, only memory and validation costs differ.
+A system is stored as a dense matrix or as bands, one array per offset up
+to the bandwidth, where an offset of a distance profile keeps one value;
+the public contract is identical, only memory and validation costs differ.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -46,9 +47,6 @@ _ENVELOPE_UP = 1.0 + 8.0 * math.ulp(1.0)
 # A diagonal may dip this far below its asserted floor; sound because
 # diag_lower_bound reports min(observed, floor).
 _FLOOR_HEADROOM = 1e-9
-
-_DENSE = "dense"
-_TOEPLITZ = "toeplitz"
 
 
 @dataclass(frozen=True)
@@ -97,17 +95,20 @@ class EnvelopeFit:
 class GramSystem:
     """Immutable nonnegative cross-Gram truncation with optional tail model.
 
-    Indices are 1-based throughout the public interface.  Storage is a dense
-    matrix or a distance profile.  Construction validates every stored
+    Indices are 1-based throughout the public interface.  ``_data`` is the
+    dense matrix (``_start`` None), or the bands -b..b end to end, 0-based
+    entry (r, r + o) at ``_data[_start[o + b] + _step[o + b] * min(r, r + o)]``
+    (step 0 for a band of one value).  Construction validates every stored
     invariant: finite nonnegative entries, every off-diagonal entry under
     the envelope, and the diagonal at the asserted floor.
     """
 
-    __slots__ = ("_mode", "_data", "_size", "envelope", "diag_floor")
+    __slots__ = ("_data", "_start", "_step", "_size", "envelope", "diag_floor")
 
-    def __init__(self, *, mode, data, size, envelope, diag_floor):
-        self._mode = mode
+    def __init__(self, *, data, size, envelope, diag_floor, start=None, step=None):
         self._data = data
+        self._start = start
+        self._step = step
         self._size = size
         self.envelope = envelope
         self.diag_floor = diag_floor
@@ -123,10 +124,13 @@ class GramSystem:
         The entries are copied unless they are a read-only float64 array
         that owns its data; such an array is kept, and must stay read-only.
         """
-        arr = _frozen(entries)
+        arr = np.asarray(entries, dtype=np.float64)
+        if arr.flags.writeable or not arr.flags.owndata:
+            arr = arr.copy()
+            arr.setflags(write=False)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise InvalidGramData(f"entries must be a square matrix, got shape {arr.shape}")
-        return cls(mode=_DENSE, data=arr, size=int(arr.shape[0]), envelope=envelope,
+        return cls(data=arr, size=int(arr.shape[0]), envelope=envelope,
                    diag_floor=diag_floor)
 
     @classmethod
@@ -134,14 +138,17 @@ class GramSystem:
                               diag_floor: float | None = None) -> "GramSystem":
         """Toeplitz construction: entry(n, m) = profile[|n - m|].
 
-        ``profile`` has length size; profile[0] is the diagonal value.  It is
-        copied on the terms of :meth:`from_entries`.
+        ``profile`` has length size; profile[0] is the diagonal value.  The
+        system stores one value per offset up to the last nonzero distance.
         """
-        prof = _frozen(profile)
+        prof = np.asarray(profile, dtype=np.float64)
         if prof.ndim != 1 or prof.size < 1:
             raise InvalidGramData("distance profile must be a nonempty vector")
-        return cls(mode=_TOEPLITZ, data=prof, size=int(prof.size), envelope=envelope,
-                   diag_floor=diag_floor)
+        nonzero = np.flatnonzero(prof[1:])  # NaN counts, so validation sees it
+        b = int(nonzero[-1]) + 1 if nonzero.size else 0
+        return cls._from_bands(np.concatenate((prof[b:0:-1], prof[:b + 1])),
+                               np.ones(2 * b + 1, dtype=np.int64), int(prof.size),
+                               envelope, diag_floor)
 
     @classmethod
     def from_cyclic_profile(cls, profile, size: int,
@@ -158,9 +165,15 @@ class GramSystem:
             raise InvalidGramData(
                 f"cyclic profile must have length {size // 2 + 1} for size {size}")
         d = np.arange(size)
-        line = prof[np.minimum(d, size - d)]
-        line.setflags(write=False)
-        return cls.from_distance_profile(line, envelope, diag_floor)
+        return cls.from_distance_profile(prof[np.minimum(d, size - d)], envelope, diag_floor)
+
+    @classmethod
+    def _from_bands(cls, values, lengths, size, envelope, diag_floor) -> "GramSystem":
+        """Band storage of the offsets -b..b end to end in ``values``, length 1 for one value."""
+        lengths = np.asarray(lengths, dtype=np.int64)
+        values.setflags(write=False)
+        return cls(data=values, size=size, envelope=envelope, diag_floor=diag_floor,
+                   start=np.cumsum(lengths) - lengths, step=np.minimum(lengths - 1, 1))
 
     # -- invariants ---------------------------------------------------------
 
@@ -196,20 +209,26 @@ class GramSystem:
         if not (1 <= n <= self._size and 1 <= m <= self._size):
             raise IndexBeyondTruncation(
                 f"entry ({n}, {m}) is outside the stored truncation 1..{self._size}")
-        if self._mode == _DENSE:
-            return float(self._data[n - 1, m - 1])
-        return float(self._data[abs(n - m)])
+        return float(self._block([n], [m])[0, 0])
 
     def diag(self) -> np.ndarray:
-        if self._mode == _DENSE:
-            return np.diagonal(self._data)
-        return np.full(self._size, self._data[0])
+        return self._diagonal(0)
+
+    def with_envelope(self, envelope: DecayEnvelope | None) -> "GramSystem":
+        """The same stored entries and floor under another envelope, re-verified."""
+        return GramSystem(data=self._data, size=self._size, envelope=envelope,
+                          diag_floor=self.diag_floor, start=self._start, step=self._step)
 
     def dense(self) -> np.ndarray:
-        """Materialize the full matrix; O(size^2) memory for profile storage."""
-        if self._mode == _DENSE:
+        """Materialize the full matrix; O(size^2) memory for band storage."""
+        if self._start is None:
             return self._data.copy()
-        return self.submatrix(range(1, self._size + 1))
+        n = self._size
+        out = np.zeros((n, n))
+        flat = out.reshape(-1)  # diagonal o starts at flat index max(o, -o*n), stride n + 1
+        for o in range(-self._band_limit(), self._band_limit() + 1):
+            flat[max(o, -o * n):max(o, -o * n) + (n - abs(o)) * (n + 1):n + 1] = self._diagonal(o)
+        return out
 
     def submatrix(self, indices: Iterable[int]) -> np.ndarray:
         """Principal submatrix at the given 1-based indices (given order)."""
@@ -217,9 +236,7 @@ class GramSystem:
         if pos.size and (pos.min() < 1 or pos.max() > self._size):
             raise IndexBeyondTruncation(
                 f"indices must lie in 1..{self._size}")
-        if self._mode == _DENSE:
-            return self._data[np.ix_(pos - 1, pos - 1)]
-        return self._data[np.abs(pos[:, None] - pos[None, :])]
+        return self._block(pos, pos)
 
     def bandwidth(self) -> int:
         """Largest |n - m| carrying a nonzero entry (0 for diagonal systems)."""
@@ -227,39 +244,57 @@ class GramSystem:
         return int(nonzero[-1]) + 1 if nonzero.size else 0
 
     def __repr__(self) -> str:
-        return (f"GramSystem(size={self._size}, storage={self._mode}, "
+        return (f"GramSystem(size={self._size}, "
+                f"storage={'dense' if self._start is None else 'banded'}, "
                 f"envelope={self.envelope}, diag_floor={self.diag_floor})")
+
+    def _band_limit(self) -> int | None:  # stored bandwidth b; None when dense
+        return None if self._start is None else len(self._start) // 2
+
+    def _block(self, rows, cols) -> np.ndarray:
+        """Entries at 1-based rows x cols, checked by the caller.
+
+        Bands fill one row at a time, so temporaries stay O(len(cols)).
+        """
+        r = np.asarray(rows, dtype=np.int64) - 1
+        c = np.asarray(cols, dtype=np.int64) - 1
+        if self._start is None:
+            return self._data[np.ix_(r, c)]
+        b, out = self._band_limit(), np.empty((r.size, c.size))
+        for i, row in enumerate(r.tolist()):
+            at = np.clip(c - row, -b, b) + b  # out-of-band offsets read in range, then get 0
+            vals = self._data[self._start[at] + self._step[at] * np.minimum(row, c)]
+            out[i] = np.where(np.abs(c - row) <= b, vals, 0.0)
+        return out
+
+    def _diagonal(self, o: int) -> np.ndarray:
+        """Read-only view of the size - |o| entries (r, r + o); |o| within the stored band."""
+        if self._start is None:
+            return self._data.diagonal(o)
+        i = o + self._band_limit()  # a step of 0 repeats one value along the view
+        return np.ndarray((self._size - abs(o),), np.float64, self._data,
+                          8 * self._start[i], (8 * self._step[i],))
 
     def _distance_values(self) -> np.ndarray:
         """Largest stored modulus at each distance d = 1..size-1, at index d - 1.
 
         Dense storage reads the two diagonals at +d and -d as views, so no
-        size x size temporary is made.
+        size x size temporary is made; bands reduce each offset in one pass.
         """
-        if self._mode == _TOEPLITZ:
-            return self._data[1:]
-        a = self._data
-        return np.array([max(a.diagonal(d).max(), a.diagonal(-d).max())
-                         for d in range(1, self._size)], dtype=np.float64)
+        if self._start is None:
+            return np.array([max(self._diagonal(d).max(), self._diagonal(-d).max())
+                             for d in range(1, self._size)], dtype=np.float64)
+        b, peak = self._band_limit(), np.maximum.reduceat(self._data, self._start)
+        return np.concatenate((np.maximum(peak[b + 1:], peak[:b][::-1]),
+                               np.zeros(self._size - 1 - b)))
 
     def _peak_pair(self, d: int) -> tuple[int, int]:
         """Smallest 1-based (n, m) holding the largest entry at distance d."""
-        if self._mode == _TOEPLITZ:
-            return 1, 1 + d
-        upper, lower = self._data.diagonal(d), self._data.diagonal(-d)
+        upper, lower = self._diagonal(d), self._diagonal(-d)
         i, j = int(upper.argmax()), int(lower.argmax())  # rows i + 1 and j + 1 + d
         if upper[i] > lower[j] or (upper[i] == lower[j] and i < j + d):
             return i + 1, i + 1 + d
         return j + 1 + d, j + 1
-
-
-def _frozen(values) -> np.ndarray:
-    """Read-only float64 array of values; a copy unless read-only and owning its data."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.flags.writeable or not arr.flags.owndata:
-        arr = arr.copy()
-        arr.setflags(write=False)
-    return arr
 
 
 def entry_bound(g: GramSystem, n: int, m: int) -> Interval:
@@ -374,8 +409,9 @@ def fit_envelope(g: GramSystem, s_grid: Iterable[float] = _FIT_GRID) -> Envelope
 #
 # In the banded form, bands run over offsets o = -b..+b (offset = column -
 # row); band i holds the diagonal at offset i - b, length size - |offset|;
-# entries beyond the band are implicitly zero.  The writer picks whichever
-# form stores fewer numbers, so serialization is content-deterministic.
+# entries beyond the band are implicitly zero; it loads as band storage.
+# The writer picks whichever form stores fewer numbers, so serialization is
+# content-deterministic.
 
 
 def gram_to_json_dict(g: GramSystem) -> dict:
@@ -383,8 +419,7 @@ def gram_to_json_dict(g: GramSystem) -> dict:
     t = g.size
     banded_count = (2 * b + 1) * t - b * (b + 1)
     if banded_count < t * t:
-        dense = g.dense()
-        bands = [np.diagonal(dense, off).tolist() for off in range(-b, b + 1)]
+        bands = [g._diagonal(off).tolist() for off in range(-b, b + 1)]
         entries = {"banded": {"bandwidth": b, "bands": bands}}
     else:
         entries = g.dense().tolist()
@@ -446,19 +481,19 @@ def gram_from_json_dict(payload) -> GramSystem:
         if not isinstance(bands, list) or len(bands) != 2 * bandwidth + 1:
             raise InvalidGramData(
                 f"expected {2 * bandwidth + 1} bands for bandwidth {bandwidth}")
-        dense = np.zeros((size, size))
-        for i, band in enumerate(bands):
-            off = i - bandwidth
-            vals = _require_numbers(band, size - abs(off), f"band at offset {off}")
-            rows = np.arange(max(0, -off), max(0, -off) + len(vals))
-            dense[rows, rows + off] = vals
+        lengths = [size - abs(off) for off in range(-bandwidth, bandwidth + 1)]
+        values = np.concatenate([
+            _require_numbers(band, n, f"band at offset {i - bandwidth}")
+            for i, (band, n) in enumerate(zip(bands, lengths))])
+        build = partial(GramSystem._from_bands, values, lengths, size)
     else:
         if not isinstance(raw, list) or len(raw) != size:
             raise InvalidGramData(f"entries must be {size} rows")
         dense = np.empty((size, size))
         for r, row in enumerate(raw):
             dense[r] = _require_numbers(row, size, f"entries row {r}")
-    dense.setflags(write=False)  # from_entries keeps it without a copy
+        dense.setflags(write=False)  # from_entries keeps it without a copy
+        build = partial(GramSystem.from_entries, dense)
 
     envelope = None
     env_raw = payload.get("envelope")
@@ -475,7 +510,7 @@ def gram_from_json_dict(payload) -> GramSystem:
     floor_raw = payload.get("diag_floor")
     floor = None if floor_raw is None \
         else _require_numbers([floor_raw], 1, "diag_floor").tolist()[0]
-    return GramSystem.from_entries(dense, envelope=envelope, diag_floor=floor)
+    return build(envelope=envelope, diag_floor=floor)
 
 
 def gram_dumps(g: GramSystem) -> str:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import Infeasible, IndexOutOfRange
 from .gram import GramSystem
-from .partition import Paving, _class_margin
+from .partition import Paving, _class_margin, _explicit_margin
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -31,12 +31,10 @@ def exact_margin(g: GramSystem, members: Sequence[int]) -> float:
     an empty class has margin +inf (vacuous).
     """
     cls = sorted(set(int(i) for i in members))
-    if not cls:
-        return math.inf
-    if cls[0] < 1 or cls[-1] > g.size:
+    if cls and (cls[0] < 1 or cls[-1] > g.size):
         raise IndexOutOfRange(
             f"class members must lie within the truncation 1..{g.size}")
-    return _class_margin(g.submatrix(cls))
+    return _explicit_margin(g, cls, None, None)
 
 
 def _dfs(rows: list[list[float]], n_limit: int, epsilon: float, slack: float,

@@ -179,18 +179,24 @@ def choose_modulus(amplitude: float, exponent: float, diag_floor: float) -> int:
 def _class_margin(block) -> float:
     """Largest float at or below min_i (block[i,i] - sum_{j != i} block[i,j]).
 
-    ``block`` is a square float array; an empty one has margin +inf.  Each
-    row, with its diagonal negated, sums exactly to minus the row margin,
-    and fsum rounds that sum correctly.  A rounded margin above the running
+    ``block`` is a square float array; an empty one has margin +inf.
+    """
+    return _min_margin((block[i].tolist(), i) for i in range(len(block)))
+
+
+def _min_margin(rows) -> float:
+    """Largest float at or below the smallest row margin; ``rows`` yields
+    (row as a list, position i of its diagonal).
+
+    A row with its diagonal negated sums exactly to minus its margin, and
+    fsum rounds that sum correctly.  A rounded margin above the running
     minimum cannot lower it and is skipped.  Otherwise a second fsum with
     the rounded margin appended gives the sign of the rounding error: when
-    positive the rounded margin overstates, and the largest float below it
-    is at or below the exact margin.  Rows are converted one at a time, so
-    no Python copy of the whole block is made.
+    positive the rounded margin overstates, and the float below it is at or
+    below the exact margin.
     """
     out = math.inf
-    for i in range(len(block)):
-        row = block[i].tolist()
+    for row, i in rows:
         row[i] = -row[i]
         margin = 0.0 - math.fsum(row)  # an exact zero margin is +0.0
         if margin > out:
@@ -202,6 +208,35 @@ def _class_margin(block) -> float:
     return out
 
 
+def _strided_margin(g: GramSystem, members: Sequence[int], step: int) -> float:
+    """``_class_margin(g.submatrix(members))`` for members ``step`` apart in
+    band storage, in time O(len(members) * bandwidth / step).
+
+    Row sums run in float, one offset at a time.  A sum of n terms errs by at
+    most gamma_n = n*u/(1 - n*u) times the sum of their moduli (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 4); twice
+    that covers the other roundings.  Rows whose lower bound is above the
+    smallest upper bound cannot hold the minimum; the rest (all, on overflow)
+    go through the exact step.
+    """
+    k, first = len(members), members[0] - 1
+    reach = min(g._band_limit() // step, k - 1)
+    total = np.zeros(k)
+    for q in range(-reach, reach + 1):
+        lo, hi = max(0, -q), min(k, k - q)  # rows whose neighbour q lies in the class
+        if q:  # row lo's entry is element first + lo*step + min(0, q*step) of its diagonal
+            run = g._diagonal(q * step)[first + lo * step + min(0, q * step)::step]
+            total[lo:hi] += run[:hi - lo]
+    diag = g._diagonal(0)[first::step][:k]
+    nu = (2 * reach + 2) * math.ulp(0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        margin, err = diag - total, 2.0 * nu / (1.0 - nu) * (diag + total)
+        keep = np.flatnonzero(~(margin - err > (margin + err).min()))
+    return _min_margin(
+        (g._block(members[i:i + 1], members[max(0, i - reach):i + reach + 1])[0].tolist(),
+         min(i, reach)) for i in keep.tolist())
+
+
 def _explicit_margin(g: GramSystem, members: Sequence[int],
                      envelope: DecayEnvelope | None,
                      diag_floor: float | None) -> float:
@@ -211,6 +246,9 @@ def _explicit_margin(g: GramSystem, members: Sequence[int],
     if members[0] < 1:
         raise ValueError(f"indices are 1-based, got {members[0]}")
     if members[-1] <= g.size:
+        gaps = {b - a for a, b in zip(members, members[1:])}
+        if g._band_limit() is not None and len(gaps) <= 1:
+            return _strided_margin(g, members, gaps.pop() if gaps else 1)
         return _class_margin(g.submatrix(members))
     # Some members lie beyond the truncation: exact entries where observed,
     # envelope bounds elsewhere, asserted floor for unobserved diagonals.
@@ -244,11 +282,11 @@ def _residue_margin(cls: ResidueClass, envelope: DecayEnvelope | None,
             "diagonal floor")
     # Distances within the class are multiples of the modulus, each hit at
     # most twice (one neighbor on each side), uniformly in the base index.
+    # Entries may reach bound * _ENVELOPE_UP; each rounding is nudged safe.
     tail = shifted_power_sum(cls.modulus, envelope.exponent)
-    off_hi = 2.0 * envelope.amplitude * tail.hi
-    # Two roundings (multiply, subtract); nudge down one ulp for each.
-    out = float(diag_floor) - off_hi
-    return math.nextafter(math.nextafter(out, -math.inf), -math.inf)
+    amplitude = math.nextafter(envelope.amplitude * _ENVELOPE_UP, math.inf)
+    off_hi = math.nextafter(2.0 * amplitude * tail.hi, math.inf)
+    return math.nextafter(float(diag_floor) - off_hi, -math.inf)
 
 
 def class_margin_lower_bound(g: GramSystem, cls,
@@ -263,7 +301,7 @@ def class_margin_lower_bound(g: GramSystem, cls,
     (and the asserted floor for their diagonals).  For a residue class the
     bound is
 
-        diag_floor - 2*amplitude*sum_{k>=1} (1 + k*modulus)**(-exponent)
+        diag_floor - 2*amplitude*(1 + 8 eps)*sum_{k>=1} (1 + k*modulus)**(-exponent)
 
     with the series enclosed by :func:`shifted_power_sum`; the bound
     is uniform over the class.  Negative results are legal (they simply fail

@@ -101,7 +101,7 @@ class TestConstruction:
             [[[2.0, 1.0, 0.25][min(abs(i - j), 5 - abs(i - j))] for j in range(5)]
              for i in range(5)])
         assert np.array_equal(circ.dense(), expected)
-        assert "storage=toeplitz" in repr(circ)
+        assert "storage=banded" in repr(circ)
 
     def test_submatrix_matches_dense(self):
         g = power_law_gram(1.0, 2.0, 1.0, 12)
@@ -385,6 +385,54 @@ class TestSerialization:
     def test_malformed_payloads_rejected(self, payload):
         with pytest.raises(InvalidGramData):
             gram_loads(payload)
+
+    def test_banded_writer_reads_the_bands(self):
+        g = power_law_gram(0.0, 2.0, 1.0, 3000)
+        tracemalloc.start()
+        payload = gram_to_json_dict(g)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert payload["entries"]["banded"] == {"bandwidth": 0, "bands": [[1.0] * 3000]}
+        assert peak < 5_000_000
+
+    def test_banded_input_loads_as_bands(self):
+        size, width = 4000, 8
+        rng = np.random.default_rng(7)
+        bands = [rng.uniform(0.0, 1.0, size - abs(o)).tolist()
+                 for o in range(-width, width + 1)]
+        payload = {"size": size, "entries": {"banded": {"bandwidth": width, "bands": bands}}}
+        tracemalloc.start()
+        g = gram_from_json_dict(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert "storage=banded" in repr(g)
+        assert peak < 10_000_000
+        assert g.entry(1, 9) == bands[16][0] and g.entry(4000, 3992) == bands[0][-1]
+        assert g.entry(1, 10) == 0.0 and g.bandwidth() == width
+        assert gram_to_json_dict(g)["entries"]["banded"]["bands"] == bands
+
+    def test_band_views_match_dense(self):
+        # Offsets -2 and 1 hold arrays, 0 and 2 one value each, -1 is zero.
+        values = np.array([0.1, 0.2, 0.3, 0.0, 2.0, 0.5, 0.6, 0.7, 0.8, 0.25])
+        g = GramSystem._from_bands(values, [3, 1, 1, 4, 1], 5, None, 1.0)
+        expected = np.diag(np.full(5, 2.0)) + np.diag([0.5, 0.6, 0.7, 0.8], 1) \
+            + np.diag(np.full(3, 0.25), 2) + np.diag([0.1, 0.2, 0.3], -2)
+        assert np.array_equal(g.dense(), expected)
+        idx = [5, 1, 3, 4]
+        assert np.array_equal(g.submatrix(idx), expected[np.ix_([4, 0, 2, 3], [4, 0, 2, 3])])
+        assert [g.entry(n, m) for n, m in ((3, 1), (4, 5), (1, 3), (2, 1))] == [0.1, 0.8, 0.25, 0.0]
+        assert g.bandwidth() == 2 and np.array_equal(g.diag(), np.full(5, 2.0))
+        dense = GramSystem.from_entries(expected, diag_floor=1.0)
+        assert gram_dumps(g) == gram_dumps(dense)
+        env = DecayEnvelope(0.6, 2.0)
+        assert verify_envelope(g, env) == verify_envelope(dense, env)
+
+    def test_with_envelope_keeps_storage_and_reverifies(self):
+        g = power_law_gram(1.0, 2.0, 1.0, 50_000)
+        fitted = g.with_envelope(DecayEnvelope(1.0, 2.0))
+        assert "storage=banded" in repr(fitted) and fitted.diag_floor == 1.0
+        with pytest.raises(InvalidGramData):
+            g.with_envelope(DecayEnvelope(0.5, 2.0))
 
     def test_json_never_emits_nonfinite(self):
         g = power_law_gram(1.0, 2.0, 1.0, 4)

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from framepaver import (
+    DecayEnvelope,
     GramSystem,
     InvalidGramData,
     MissingEnvelope,
@@ -28,6 +29,9 @@ from framepaver import (
     residue_partition,
     separation_constant,
 )
+from framepaver.bounds import shifted_power_sum
+from framepaver.gram import _ENVELOPE_UP
+from framepaver.partition import _class_margin, _strided_margin
 
 GRID = [(a, s, c) for a in (0.5, 1.0, 2.0) for s in (1.5, 2.0, 3.0)
         for c in (0.5, 1.0, 4.0)]
@@ -242,6 +246,107 @@ def test_margin_that_rounds_up_is_nudged_below():
     g = GramSystem.from_entries([[1.0, x], [x, 1.0]])
     assert Fraction(class_margin_lower_bound(g, [1, 2])) <= 1 - Fraction(x)
     assert not certify(g, residue_partition(1, 2), 1.0).passed
+
+
+@st.composite
+def band_systems(draw):
+    """A band system whose offsets hold arrays or one value each, plus one
+    class members[0] + step*i, with some of its rows made to cancel."""
+    size = draw(st.integers(min_value=1, max_value=40))
+    b = draw(st.integers(min_value=0, max_value=min(size - 1, 6)))
+    step = draw(st.integers(min_value=1, max_value=b + 2))
+    start = draw(st.integers(min_value=1, max_value=min(step, size)))
+    count = draw(st.integers(min_value=1, max_value=len(range(start, size + 1, step))))
+    members = list(range(start, start + step * count, step))
+    bands = []
+    for o in range(-b, b + 1):
+        n = draw(st.sampled_from([1, size - abs(o)]))
+        bands.append(draw(st.lists(_MODULUS, min_size=n, max_size=n)))
+    if len(bands[b]) == size:
+        g = GramSystem._from_bands(np.array(sum(bands, [])), [len(v) for v in bands],
+                                   size, None, None)
+        for i in draw(st.lists(st.sampled_from(members), max_size=3)):
+            bands[b][i - 1] = math.fsum(g.entry(i, j) for j in members if j != i)
+    g = GramSystem._from_bands(np.array(sum(bands, [])), [len(v) for v in bands],
+                               size, None, None)
+    return g, members, step
+
+
+@given(band_systems())
+def test_strided_kernel_matches_class_margin(system):
+    g, members, step = system
+    expected = _class_margin(g.submatrix(members))
+    assert _strided_margin(g, members, step).hex() == expected.hex()
+    assert class_margin_lower_bound(g, members).hex() == expected.hex()
+    assert expected == _class_margin(g.dense()[np.ix_(
+        [i - 1 for i in members], [i - 1 for i in members])])
+
+
+def test_uneven_class_takes_the_block_path():
+    g = power_law_gram(1.0, 2.0, 1.0, 30)
+    members = [1, 2, 4, 8, 16]
+    block = g.dense()[np.ix_([0, 1, 3, 7, 15], [0, 1, 3, 7, 15])]
+    assert class_margin_lower_bound(g, members) == _class_margin(block)
+
+
+def test_strided_kernel_is_fast_on_a_wide_profile():
+    g = power_law_gram(1.0, 2.0, 1.0, 6000)
+    paving = residue_partition(3, 6000)
+    start = time.perf_counter()
+    cert = certify(g, paving)
+    elapsed = time.perf_counter() - start
+    assert cert.per_class_margin == (0.7567561203371437,) * 3
+    assert elapsed < 0.2
+
+
+def _pushed_profile(A, s, size):
+    """Off-diagonals at the envelope times _ENVELOPE_UP, the most it admits."""
+    env = DecayEnvelope(A, s)
+    return env, env.bound(np.arange(1, size, dtype=np.float64)) * _ENVELOPE_UP
+
+
+def _worst_row(profile, env, C, offset, modulus):
+    """Smallest exact margin over the class's rows inside the window (mpmath):
+    stored entries inside, the envelope itself beyond."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    size, A, s, M = len(profile) + 1, env.amplitude, env.exponent, modulus
+    worst = None
+    for n in range(offset, size + 1, M):
+        left = sum(mpmath.mpf(float(profile[q * M - 1])) for q in range(1, (n - 1) // M + 1))
+        right_in = (size - n) // M
+        right = sum(mpmath.mpf(float(profile[q * M - 1])) for q in range(1, right_in + 1))
+        beyond = A * mpmath.mpf(M) ** -s * mpmath.zeta(s, right_in + 1 + mpmath.mpf(1) / M)
+        margin = mpmath.mpf(C) - left - right - beyond
+        worst = margin if worst is None else min(worst, margin)
+    return worst
+
+
+def test_residue_margin_charges_the_envelope_allowance():
+    # A floor one ulp above the tail charged at the bare envelope certified
+    # PASS at margin 1.08e-19; the worst row's exact margin is -7.3e-20.
+    env, off = _pushed_profile(1.0, 12.0, 100)
+    C = math.nextafter(2.0 * shifted_power_sum(1, 12.0).hi, math.inf)
+    g = GramSystem.from_distance_profile(np.concatenate(([C], off)), env, C)
+    cert = certify(g, residue_partition(1), 0.0)
+    exact = _worst_row(off, env, C, 1, 1)
+    assert exact < 0
+    assert cert.per_class_margin[0] <= exact
+    assert not cert.passed
+
+
+@given(A=st.floats(min_value=0.1, max_value=4.0), s=st.floats(min_value=1.5, max_value=14.0),
+       modulus=st.integers(min_value=1, max_value=5), size=st.integers(min_value=2, max_value=40),
+       ulps=st.integers(min_value=0, max_value=64), data=st.data())
+def test_residue_margin_stays_below_pushed_rows(A, s, modulus, size, ulps, data):
+    env, off = _pushed_profile(A, s, size)
+    C = 2.0 * A * shifted_power_sum(modulus, s).hi
+    for _ in range(ulps):
+        C = math.nextafter(C, math.inf)
+    g = GramSystem.from_distance_profile(np.concatenate(([C], off)), env, C)
+    offset = data.draw(st.integers(min_value=1, max_value=min(modulus, size)))
+    margin = class_margin_lower_bound(g, ResidueClass(offset, modulus), env, C)
+    assert margin <= _worst_row(off, env, C, offset, modulus)
 
 
 class TestCertify:
