@@ -39,11 +39,6 @@ from .errors import InvalidExponent
 _EPS = float(np.finfo(np.float64).eps)
 _U = _EPS / 2.0  # unit roundoff
 
-# Covers numpy pairwise-summation error (<= ceil(log2 n) ulps relative for
-# n <= 2^40), <= 2 ulp per-term power error, and the handful of roundings
-# when endpoints are assembled, with several-fold headroom.
-_ROUNDING_FACTOR = 64.0 * _EPS
-
 _HEAD_TERMS = 10
 # Integers below this are exact in float64, and so are their sums with the
 # few head offsets.
@@ -88,11 +83,6 @@ class Interval:
 
     def as_pair(self) -> list[float]:
         return [self.lo, self.hi]
-
-
-def rounding_allowance(partial: float) -> float:
-    """Upper bound on float64 error of a numpy partial sum of nonnegative terms."""
-    return _ROUNDING_FACTOR * (1.0 + partial)
 
 
 def require_exponent(s: float) -> float:

@@ -18,8 +18,7 @@ from .constants import LocalizationConstants
 from .errors import FramePaverError, Infeasible, InvalidGramData
 from .generators import FrameSystem, frame_operator_check, power_law_gram, \
     translate_frame_gram
-from .gram import diag_lower_bound, fit_envelope, gram_dumps, gram_from_json_dict, \
-    gram_to_json_dict
+from .gram import diag_lower_bound, fit_envelope, gram_dumps, gram_from_json_dict
 from .oracle import DEFAULT_SIZE_CAP, exact_margin, min_partition
 from .partition import certificate_from_json_dict, certificate_to_json_dict, \
     certify, choose_modulus, paving_from_json_dict, residue_partition
@@ -148,8 +147,7 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_gen_power_law(args) -> int:
-    g = power_law_gram(args.A, args.s, args.C, args.size)
-    _emit(gram_to_json_dict(g), args.out)
+    _write(gram_dumps(power_law_gram(args.A, args.s, args.C, args.size)), args.out)
     return 0
 
 
@@ -158,8 +156,7 @@ def _cmd_gen_translates(args) -> int:
         window = [float(v) for v in args.window.split(",") if v.strip() != ""]
     except ValueError:
         raise ValueError(f"--window must be comma-separated numbers, got {args.window!r}")
-    g = translate_frame_gram(window, args.period)
-    _emit(gram_to_json_dict(g), args.out)
+    _write(gram_dumps(translate_frame_gram(window, args.period)), args.out)
     return 0
 
 

@@ -13,9 +13,11 @@ the naturals:
 Entries within the truncation are exact data; entries beyond it are known
 only through those assertions, which is what :func:`entry_bound` encodes.
 
-A system is stored as a dense matrix or as bands, one array per offset up
-to the bandwidth, where an offset of a distance profile keeps one value;
-the public contract is identical, only memory and validation costs differ.
+A system is stored as bands: one array per offset (column - row) up to the
+last offset holding a nonzero entry, where an offset of a distance profile
+keeps one value.  Every constructor and both wire forms build bands, so
+memory is O(size * bandwidth) and a system survives a round trip through
+the wire format unchanged.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -92,20 +93,41 @@ class EnvelopeFit:
     objective: float
 
 
+def _bands_of_rows(rows, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bands and band lengths, for :meth:`GramSystem._from_bands`, of the
+    square matrix whose ``size`` rows ``rows`` yields.
+
+    Row r's entry c is element min(r, c) of the band at offset c - r, so each
+    row scatters straight into all 2*size - 1 bands; the offsets beyond the
+    last nonzero one are then dropped.
+    """
+    lengths = size - np.abs(np.arange(1 - size, size))
+    start = np.cumsum(lengths) - lengths
+    values, cols = np.empty(size * size), np.arange(size)
+    for r, row in enumerate(rows):
+        values[start[size - 1 - r:2 * size - 1 - r] + np.minimum(r, cols)] = row
+    nonzero = np.flatnonzero(np.logical_or.reduceat(values, start))  # NaN counts
+    b = int(max(size - 1 - nonzero[0], nonzero[-1] - size + 1)) if nonzero.size else 0
+    if b < size - 1:
+        values = values[start[size - 1 - b]:start[size + b]].copy()
+    return values, lengths[size - 1 - b:size + b]
+
+
 class GramSystem:
     """Immutable nonnegative cross-Gram truncation with optional tail model.
 
-    Indices are 1-based throughout the public interface.  ``_data`` is the
-    dense matrix (``_start`` None), or the bands -b..b end to end, 0-based
-    entry (r, r + o) at ``_data[_start[o + b] + _step[o + b] * min(r, r + o)]``
-    (step 0 for a band of one value).  Construction validates every stored
-    invariant: finite nonnegative entries, every off-diagonal entry under
-    the envelope, and the diagonal at the asserted floor.
+    Indices are 1-based throughout the public interface.  ``_data`` holds
+    the bands -b..b end to end, 0-based entry (r, r + o) at
+    ``_data[_start[o + b] + _step[o + b] * min(r, r + o)]`` (step 0 for a
+    band of one value); entries beyond the band are zero.  Construction
+    validates every stored invariant: finite nonnegative entries, every
+    off-diagonal entry under the envelope, and the diagonal at the asserted
+    floor.
     """
 
     __slots__ = ("_data", "_start", "_step", "_size", "envelope", "diag_floor")
 
-    def __init__(self, *, data, size, envelope, diag_floor, start=None, step=None):
+    def __init__(self, *, data, size, envelope, diag_floor, start, step):
         self._data = data
         self._start = start
         self._step = step
@@ -119,19 +141,13 @@ class GramSystem:
     @classmethod
     def from_entries(cls, entries, envelope: DecayEnvelope | None = None,
                      diag_floor: float | None = None) -> "GramSystem":
-        """Dense construction from a square array of moduli.
-
-        The entries are copied unless they are a read-only float64 array
-        that owns its data; such an array is kept, and must stay read-only.
-        """
+        """Construction from a square array of moduli, stored as bands up to
+        the last offset holding a nonzero entry."""
         arr = np.asarray(entries, dtype=np.float64)
-        if arr.flags.writeable or not arr.flags.owndata:
-            arr = arr.copy()
-            arr.setflags(write=False)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise InvalidGramData(f"entries must be a square matrix, got shape {arr.shape}")
-        return cls(data=arr, size=int(arr.shape[0]), envelope=envelope,
-                   diag_floor=diag_floor)
+        size = int(arr.shape[0])
+        return cls._from_bands(*_bands_of_rows(arr, size), size, envelope, diag_floor)
 
     @classmethod
     def from_distance_profile(cls, profile, envelope: DecayEnvelope | None = None,
@@ -220,9 +236,7 @@ class GramSystem:
                           diag_floor=self.diag_floor, start=self._start, step=self._step)
 
     def dense(self) -> np.ndarray:
-        """Materialize the full matrix; O(size^2) memory for band storage."""
-        if self._start is None:
-            return self._data.copy()
+        """Materialize the full matrix; O(size^2) memory."""
         n = self._size
         out = np.zeros((n, n))
         flat = out.reshape(-1)  # diagonal o starts at flat index max(o, -o*n), stride n + 1
@@ -245,11 +259,10 @@ class GramSystem:
 
     def __repr__(self) -> str:
         return (f"GramSystem(size={self._size}, "
-                f"storage={'dense' if self._start is None else 'banded'}, "
                 f"envelope={self.envelope}, diag_floor={self.diag_floor})")
 
-    def _band_limit(self) -> int | None:  # stored bandwidth b; None when dense
-        return None if self._start is None else len(self._start) // 2
+    def _band_limit(self) -> int:  # stored bandwidth b
+        return len(self._start) // 2
 
     def _block(self, rows, cols) -> np.ndarray:
         """Entries at 1-based rows x cols, checked by the caller.
@@ -258,8 +271,6 @@ class GramSystem:
         """
         r = np.asarray(rows, dtype=np.int64) - 1
         c = np.asarray(cols, dtype=np.int64) - 1
-        if self._start is None:
-            return self._data[np.ix_(r, c)]
         b, out = self._band_limit(), np.empty((r.size, c.size))
         for i, row in enumerate(r.tolist()):
             at = np.clip(c - row, -b, b) + b  # out-of-band offsets read in range, then get 0
@@ -269,21 +280,13 @@ class GramSystem:
 
     def _diagonal(self, o: int) -> np.ndarray:
         """Read-only view of the size - |o| entries (r, r + o); |o| within the stored band."""
-        if self._start is None:
-            return self._data.diagonal(o)
         i = o + self._band_limit()  # a step of 0 repeats one value along the view
         return np.ndarray((self._size - abs(o),), np.float64, self._data,
                           8 * self._start[i], (8 * self._step[i],))
 
     def _distance_values(self) -> np.ndarray:
-        """Largest stored modulus at each distance d = 1..size-1, at index d - 1.
-
-        Dense storage reads the two diagonals at +d and -d as views, so no
-        size x size temporary is made; bands reduce each offset in one pass.
-        """
-        if self._start is None:
-            return np.array([max(self._diagonal(d).max(), self._diagonal(-d).max())
-                             for d in range(1, self._size)], dtype=np.float64)
+        """Largest stored modulus at each distance d = 1..size-1, at index d - 1;
+        each band reduces in one pass."""
         b, peak = self._band_limit(), np.maximum.reduceat(self._data, self._start)
         return np.concatenate((np.maximum(peak[b + 1:], peak[:b][::-1]),
                                np.zeros(self._size - 1 - b)))
@@ -409,8 +412,9 @@ def fit_envelope(g: GramSystem, s_grid: Iterable[float] = _FIT_GRID) -> Envelope
 #
 # In the banded form, bands run over offsets o = -b..+b (offset = column -
 # row); band i holds the diagonal at offset i - b, length size - |offset|;
-# entries beyond the band are implicitly zero; it loads as band storage.
-# The writer picks whichever form stores fewer numbers, so serialization is
+# entries beyond the band are implicitly zero.  Both forms load as band
+# storage; dense rows scatter straight into the bands.  The writer picks
+# whichever form stores fewer numbers, so serialization is
 # content-deterministic.
 
 
@@ -485,15 +489,12 @@ def gram_from_json_dict(payload) -> GramSystem:
         values = np.concatenate([
             _require_numbers(band, n, f"band at offset {i - bandwidth}")
             for i, (band, n) in enumerate(zip(bands, lengths))])
-        build = partial(GramSystem._from_bands, values, lengths, size)
     else:
         if not isinstance(raw, list) or len(raw) != size:
             raise InvalidGramData(f"entries must be {size} rows")
-        dense = np.empty((size, size))
-        for r, row in enumerate(raw):
-            dense[r] = _require_numbers(row, size, f"entries row {r}")
-        dense.setflags(write=False)  # from_entries keeps it without a copy
-        build = partial(GramSystem.from_entries, dense)
+        values, lengths = _bands_of_rows(
+            (_require_numbers(row, size, f"entries row {r}") for r, row in enumerate(raw)),
+            size)
 
     envelope = None
     env_raw = payload.get("envelope")
@@ -510,7 +511,7 @@ def gram_from_json_dict(payload) -> GramSystem:
     floor_raw = payload.get("diag_floor")
     floor = None if floor_raw is None \
         else _require_numbers([floor_raw], 1, "diag_floor").tolist()[0]
-    return build(envelope=envelope, diag_floor=floor)
+    return GramSystem._from_bands(values, lengths, size, envelope, floor)
 
 
 def gram_dumps(g: GramSystem) -> str:

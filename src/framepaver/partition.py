@@ -103,12 +103,11 @@ class Paving:
         if n_missing or extra or duplicated:
             raise PavingCoverageError(missing=missing, extra=extra, duplicated=duplicated,
                                       n_missing=n_missing)
-        if self.modulus is not None:
-            expected = tuple(tuple(range(j, self.range_end + 1, self.modulus))
-                             for j in range(1, self.modulus + 1))
-            if normalized != expected:
-                raise ValueError(
-                    f"classes do not match the residue classes mod {self.modulus}")
+        # The class count is checked first, so a huge modulus costs nothing.
+        if self.modulus is not None and (len(normalized) != self.modulus or any(
+                cls != tuple(range(j, self.range_end + 1, self.modulus))
+                for j, cls in enumerate(normalized, start=1))):
+            raise ValueError(f"classes do not match the residue classes mod {self.modulus}")
 
     @property
     def n_classes(self) -> int:
@@ -208,16 +207,16 @@ def _min_margin(rows) -> float:
     return out
 
 
-def _strided_margin(g: GramSystem, members: Sequence[int], step: int) -> float:
-    """``_class_margin(g.submatrix(members))`` for members ``step`` apart in
-    band storage, in time O(len(members) * bandwidth / step).
+def _strided_candidates(g: GramSystem, members: Sequence[int], step: int) -> np.ndarray:
+    """Positions of the rows of a class ``step`` apart that can hold its
+    smallest margin, in time O(len(members) * bandwidth / step).
 
     Row sums run in float, one offset at a time.  A sum of n terms errs by at
     most gamma_n = n*u/(1 - n*u) times the sum of their moduli (Higham,
     Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 4); twice
     that covers the other roundings.  Rows whose lower bound is above the
-    smallest upper bound cannot hold the minimum; the rest (all, on overflow)
-    go through the exact step.
+    smallest upper bound cannot hold the minimum; the rest (all, on
+    overflow) are kept.
     """
     k, first = len(members), members[0] - 1
     reach = min(g._band_limit() // step, k - 1)
@@ -231,10 +230,22 @@ def _strided_margin(g: GramSystem, members: Sequence[int], step: int) -> float:
     nu = (2 * reach + 2) * math.ulp(0.5)
     with np.errstate(over="ignore", invalid="ignore"):
         margin, err = diag - total, 2.0 * nu / (1.0 - nu) * (diag + total)
-        keep = np.flatnonzero(~(margin - err > (margin + err).min()))
-    return _min_margin(
-        (g._block(members[i:i + 1], members[max(0, i - reach):i + reach + 1])[0].tolist(),
-         min(i, reach)) for i in keep.tolist())
+        return np.flatnonzero(~(margin - err > (margin + err).min()))
+
+
+def _band_margin(g: GramSystem, members: np.ndarray, rows: np.ndarray) -> float:
+    """``_class_margin(g.submatrix(members))`` over the rows at positions
+    ``rows`` of a sorted class inside the truncation.
+
+    Only the members within the stored bandwidth b of a row carry mass, so
+    each row passes just those, found by bisection, to the exact step: time
+    O(len(rows) * (b + log len(members))) and no len(members)^2 block.
+    """
+    b = g._band_limit()
+    lo = np.searchsorted(members, members[rows] - b).tolist()
+    hi = np.searchsorted(members, members[rows] + b, side="right").tolist()
+    return _min_margin((g._block(members[i:i + 1], members[l:h])[0].tolist(), i - l)
+                       for i, l, h in zip(rows.tolist(), lo, hi))
 
 
 def _explicit_margin(g: GramSystem, members: Sequence[int],
@@ -247,9 +258,9 @@ def _explicit_margin(g: GramSystem, members: Sequence[int],
         raise ValueError(f"indices are 1-based, got {members[0]}")
     if members[-1] <= g.size:
         gaps = {b - a for a, b in zip(members, members[1:])}
-        if g._band_limit() is not None and len(gaps) <= 1:
-            return _strided_margin(g, members, gaps.pop() if gaps else 1)
-        return _class_margin(g.submatrix(members))
+        rows = _strided_candidates(g, members, gaps.pop()) if len(gaps) == 1 \
+            else np.arange(len(members))
+        return _band_margin(g, np.asarray(members, dtype=np.int64), rows)
     # Some members lie beyond the truncation: exact entries where observed,
     # envelope bounds elsewhere, asserted floor for unobserved diagonals.
     if envelope is None:

@@ -83,6 +83,7 @@ class TestGenCommand:
     def test_translates(self, run):
         code, out, _ = run(["gen", "translates", "--window", "1,1", "--period", "4"])
         assert code == 0
+        assert out == gram_dumps(framepaver.translate_frame_gram([1.0, 1.0], 4))
         g = gram_loads(out)
         assert g.entry(1, 1) == 2.0
         assert g.entry(1, 2) == 1.0

@@ -146,6 +146,15 @@ class TestVerifySeparationBound:
         assert d1.bound == pytest.approx(math.pi**2 / 3.0, abs=1e-9)
         assert verdict.passed
 
+    @pytest.mark.parametrize("s", [1.1, 1.5, 2.0, 3.0])
+    def test_measured_is_the_lattice_sum(self, s):
+        # 2 * sum_{k>=1} (1 + k*delta)**-s = 2 * delta**-s * zeta(s, 1 + 1/delta)
+        with mpmath.workdps(40):
+            for check in verify_separation_bound(s, 12, 120).checks:
+                delta = mpmath.mpf(check.delta)
+                exact = 2 * delta ** -s * mpmath.zeta(s, 1 + 1 / delta)
+                assert abs(check.measured - exact) <= 1e-14 * exact, (s, check.delta)
+
     def test_small_truncation_still_passes(self):
         # The bound is proven; a ratio above 1 would flag an implementation bug.
         for s in (1.5, 2.0, 3.0):

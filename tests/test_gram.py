@@ -101,7 +101,15 @@ class TestConstruction:
             [[[2.0, 1.0, 0.25][min(abs(i - j), 5 - abs(i - j))] for j in range(5)]
              for i in range(5)])
         assert np.array_equal(circ.dense(), expected)
-        assert "storage=banded" in repr(circ)
+
+    def test_entries_store_bands_up_to_the_last_nonzero_offset(self):
+        size = 10
+        e = np.diag(np.full(size, 2.0)) + np.diag(np.full(size - 2, 0.5), 2) \
+            + np.diag(np.full(size - 1, 0.25), -1)
+        for g in (GramSystem.from_entries(e),
+                  gram_from_json_dict({"size": size, "entries": e.tolist()})):
+            assert g._band_limit() == 2 and g._data.size == 5 * size - 6
+            assert np.array_equal(g.dense(), e)
 
     def test_submatrix_matches_dense(self):
         g = power_law_gram(1.0, 2.0, 1.0, 12)
@@ -405,7 +413,6 @@ class TestSerialization:
         g = gram_from_json_dict(payload)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert "storage=banded" in repr(g)
         assert peak < 10_000_000
         assert g.entry(1, 9) == bands[16][0] and g.entry(4000, 3992) == bands[0][-1]
         assert g.entry(1, 10) == 0.0 and g.bandwidth() == width
@@ -430,7 +437,7 @@ class TestSerialization:
     def test_with_envelope_keeps_storage_and_reverifies(self):
         g = power_law_gram(1.0, 2.0, 1.0, 50_000)
         fitted = g.with_envelope(DecayEnvelope(1.0, 2.0))
-        assert "storage=banded" in repr(fitted) and fitted.diag_floor == 1.0
+        assert fitted._data is g._data and fitted.diag_floor == 1.0
         with pytest.raises(InvalidGramData):
             g.with_envelope(DecayEnvelope(0.5, 2.0))
 

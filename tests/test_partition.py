@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +32,8 @@ from framepaver import (
 )
 from framepaver.bounds import shifted_power_sum
 from framepaver.gram import _ENVELOPE_UP
-from framepaver.partition import _class_margin, _strided_margin
+from framepaver import partition
+from framepaver.partition import _class_margin
 
 GRID = [(a, s, c) for a in (0.5, 1.0, 2.0) for s in (1.5, 2.0, 3.0)
         for c in (0.5, 1.0, 4.0)]
@@ -143,6 +145,13 @@ class TestPavingValidation:
         with pytest.raises(ValueError):
             Paving(classes=((1, 2), (3, 4)), modulus=2, range_end=4)
 
+    def test_huge_modulus_is_rejected_quickly(self):
+        start = time.perf_counter()
+        with pytest.raises(InvalidGramData):
+            paving_from_json_dict({"range": 10, "modulus": 10**9,
+                                   "classes": [list(range(1, 11))]})
+        assert time.perf_counter() - start < 0.1
+
     def test_naturals_requires_modulus(self):
         with pytest.raises(ValueError):
             Paving(classes=None, modulus=None, range_end=None)
@@ -251,13 +260,17 @@ def test_margin_that_rounds_up_is_nudged_below():
 @st.composite
 def band_systems(draw):
     """A band system whose offsets hold arrays or one value each, plus one
-    class members[0] + step*i, with some of its rows made to cancel."""
+    sorted class, a progression members[0] + step*i or any subset, with some
+    of its rows made to cancel."""
     size = draw(st.integers(min_value=1, max_value=40))
     b = draw(st.integers(min_value=0, max_value=min(size - 1, 6)))
-    step = draw(st.integers(min_value=1, max_value=b + 2))
-    start = draw(st.integers(min_value=1, max_value=min(step, size)))
-    count = draw(st.integers(min_value=1, max_value=len(range(start, size + 1, step))))
-    members = list(range(start, start + step * count, step))
+    if draw(st.booleans()):
+        step = draw(st.integers(min_value=1, max_value=b + 2))
+        start = draw(st.integers(min_value=1, max_value=min(step, size)))
+        count = draw(st.integers(min_value=1, max_value=len(range(start, size + 1, step))))
+        members = list(range(start, start + step * count, step))
+    else:
+        members = sorted(draw(st.sets(st.integers(min_value=1, max_value=size), min_size=1)))
     bands = []
     for o in range(-b, b + 1):
         n = draw(st.sampled_from([1, size - abs(o)]))
@@ -269,24 +282,46 @@ def band_systems(draw):
             bands[b][i - 1] = math.fsum(g.entry(i, j) for j in members if j != i)
     g = GramSystem._from_bands(np.array(sum(bands, [])), [len(v) for v in bands],
                                size, None, None)
-    return g, members, step
+    return g, members
 
 
 @given(band_systems())
 def test_strided_kernel_matches_class_margin(system):
-    g, members, step = system
-    expected = _class_margin(g.submatrix(members))
-    assert _strided_margin(g, members, step).hex() == expected.hex()
+    g, members = system
+    ix = np.ix_([i - 1 for i in members], [i - 1 for i in members])
+    expected = _class_margin(g.dense()[ix])
     assert class_margin_lower_bound(g, members).hex() == expected.hex()
-    assert expected == _class_margin(g.dense()[np.ix_(
-        [i - 1 for i in members], [i - 1 for i in members])])
 
 
-def test_uneven_class_takes_the_block_path():
+def test_in_window_classes_take_the_band_step(monkeypatch):
     g = power_law_gram(1.0, 2.0, 1.0, 30)
-    members = [1, 2, 4, 8, 16]
-    block = g.dense()[np.ix_([0, 1, 3, 7, 15], [0, 1, 3, 7, 15])]
-    assert class_margin_lower_bound(g, members) == _class_margin(block)
+    classes = ([1, 2, 4, 8, 16], [3, 6, 9, 12, 15, 18])
+    expected = [_class_margin(g.dense()[np.ix_([i - 1 for i in c], [i - 1 for i in c])])
+                for c in classes]
+
+    def forbidden(*args):
+        raise AssertionError("an in-window class must not build its k x k block")
+
+    monkeypatch.setattr(GramSystem, "submatrix", forbidden)
+    monkeypatch.setattr(partition, "_class_margin", forbidden)
+    assert [class_margin_lower_bound(g, c) for c in classes] == expected
+
+
+def test_uneven_class_on_bands_is_small():
+    size, width = 6000, 8
+    rng = np.random.default_rng(11)
+    bands = [rng.uniform(0.0, 0.05, size - abs(o)) for o in range(-width, width + 1)]
+    bands[width] = rng.uniform(1.0, 2.0, size)
+    g = GramSystem._from_bands(np.concatenate(bands), [len(v) for v in bands],
+                               size, None, None)
+    members = np.sort(rng.choice(np.arange(1, size + 1), 2000, replace=False)).tolist()
+    expected = _class_margin(g.submatrix(members))
+    tracemalloc.start()
+    got = class_margin_lower_bound(g, members)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert got.hex() == expected.hex()
+    assert peak < 2_000_000
 
 
 def test_strided_kernel_is_fast_on_a_wide_profile():
