@@ -93,24 +93,21 @@ class EnvelopeFit:
     objective: float
 
 
-def _bands_of_rows(rows, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bands and band lengths, for :meth:`GramSystem._from_bands`, of the
-    square matrix whose ``size`` rows ``rows`` yields.
+def _bands_of_square(arr: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Bands -b..b end to end and their lengths, for
+    :meth:`GramSystem._from_bands`, of a square array, where b is the last
+    offset holding a nonzero entry (NaN counts).
 
-    Row r's entry c is element min(r, c) of the band at offset c - r, so each
-    row scatters straight into all 2*size - 1 bands; the offsets beyond the
-    last nonzero one are then dropped.
+    Diagonals are read as views from the widest offset inward, so only the
+    kept bands are copied.
     """
-    lengths = size - np.abs(np.arange(1 - size, size))
-    start = np.cumsum(lengths) - lengths
-    values, cols = np.empty(size * size), np.arange(size)
-    for r, row in enumerate(rows):
-        values[start[size - 1 - r:2 * size - 1 - r] + np.minimum(r, cols)] = row
-    nonzero = np.flatnonzero(np.logical_or.reduceat(values, start))  # NaN counts
-    b = int(max(size - 1 - nonzero[0], nonzero[-1] - size + 1)) if nonzero.size else 0
-    if b < size - 1:
-        values = values[start[size - 1 - b]:start[size + b]].copy()
-    return values, lengths[size - 1 - b:size + b]
+    size = arr.shape[0]
+    b = size - 1
+    while b and not (np.diagonal(arr, b).any() or np.diagonal(arr, -b).any()):
+        b -= 1
+    offsets = range(-b, b + 1)
+    return (np.concatenate([np.diagonal(arr, o) for o in offsets]),
+            [size - abs(o) for o in offsets])
 
 
 class GramSystem:
@@ -147,7 +144,7 @@ class GramSystem:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise InvalidGramData(f"entries must be a square matrix, got shape {arr.shape}")
         size = int(arr.shape[0])
-        return cls._from_bands(*_bands_of_rows(arr, size), size, envelope, diag_floor)
+        return cls._from_bands(*_bands_of_square(arr), size, envelope, diag_floor)
 
     @classmethod
     def from_distance_profile(cls, profile, envelope: DecayEnvelope | None = None,
@@ -371,7 +368,7 @@ def diag_lower_bound(g: GramSystem) -> DiagonalBound:
 _FIT_GRID = tuple(round(1.1 + 0.1 * i, 1) for i in range(50))
 
 
-def fit_envelope(g: GramSystem, s_grid: Iterable[float] = _FIT_GRID) -> EnvelopeFit:
+def fit_envelope(g: GramSystem) -> EnvelopeFit:
     """Heuristic envelope fit: coarse grid over the exponent.
 
     For each grid exponent the amplitude is the certified minimum for the
@@ -382,17 +379,10 @@ def fit_envelope(g: GramSystem, s_grid: Iterable[float] = _FIT_GRID) -> Envelope
     """
     from .constants import zeta  # local import; constants does not need gram
 
-    best: tuple[float, float, float] | None = None  # (objective, -s, A)
-    for s in s_grid:
-        s = require_exponent(s)
-        amplitude = certified_min_amplitude(g, s)
-        objective = 2.0 * amplitude * (zeta(s, 1e-6).hi - 1.0)
-        key = (objective, -s)
-        if best is None or key < (best[0], best[1]):
-            best = (objective, -s, amplitude)
-    if best is None:
-        raise ValueError("exponent grid must be nonempty")
-    objective, neg_s, amplitude = best
+    fits = ((s, certified_min_amplitude(g, s)) for s in _FIT_GRID)
+    # the smallest objective, the largest exponent on ties
+    objective, neg_s, amplitude = min((2.0 * a * (zeta(s, 1e-6).hi - 1.0), -s, a)
+                                      for s, a in fits)
     if amplitude <= 0.0:
         # No off-diagonal mass: any envelope is valid; report a token one.
         amplitude = float(np.finfo(np.float64).tiny)
@@ -413,9 +403,9 @@ def fit_envelope(g: GramSystem, s_grid: Iterable[float] = _FIT_GRID) -> Envelope
 # In the banded form, bands run over offsets o = -b..+b (offset = column -
 # row); band i holds the diagonal at offset i - b, length size - |offset|;
 # entries beyond the band are implicitly zero.  Both forms load as band
-# storage; dense rows scatter straight into the bands.  The writer picks
-# whichever form stores fewer numbers, so serialization is
-# content-deterministic.
+# storage; dense rows fill a size x size array whose diagonals are then
+# read up to the last nonzero offset.  The writer picks whichever form
+# stores fewer numbers, so serialization is content-deterministic.
 
 
 def gram_to_json_dict(g: GramSystem) -> dict:
@@ -492,9 +482,10 @@ def gram_from_json_dict(payload) -> GramSystem:
     else:
         if not isinstance(raw, list) or len(raw) != size:
             raise InvalidGramData(f"entries must be {size} rows")
-        values, lengths = _bands_of_rows(
-            (_require_numbers(row, size, f"entries row {r}") for r, row in enumerate(raw)),
-            size)
+        square = np.empty((size, size))
+        for r, row in enumerate(raw):
+            square[r] = _require_numbers(row, size, f"entries row {r}")
+        values, lengths = _bands_of_square(square)
 
     envelope = None
     env_raw = payload.get("envelope")

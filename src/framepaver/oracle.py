@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import Infeasible, IndexOutOfRange
 from .gram import GramSystem
-from .partition import Paving, _class_margin, _explicit_margin
+from .partition import Paving, _explicit_margin
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -37,8 +37,8 @@ def exact_margin(g: GramSystem, members: Sequence[int]) -> float:
     return _explicit_margin(g, cls, None, None)
 
 
-def _dfs(rows: list[list[float]], n_limit: int, epsilon: float, slack: float,
-         classes: list[list[int]], margins: list[list[float]], start: int):
+def _dfs(g: GramSystem, rows: list[list[float]], n_limit: int, epsilon: float,
+         slack: float, classes: list[list[int]], margins: list[list[float]], start: int):
     """Depth-first assignment of indices start..T-1; returns class lists or None.
 
     Classes only open in index order and a new index may only join a class
@@ -50,7 +50,7 @@ def _dfs(rows: list[list[float]], n_limit: int, epsilon: float, slack: float,
     size = len(rows)
     if start == size:
         for cls in classes:
-            if _class_margin(np.array([[rows[i][j] for j in cls] for i in cls])) < epsilon:
+            if _explicit_margin(g, [i + 1 for i in cls], None, None) < epsilon:
                 return None
         return [list(c) for c in classes]
     row = rows[start]
@@ -61,7 +61,7 @@ def _dfs(rows: list[list[float]], n_limit: int, epsilon: float, slack: float,
                 continue
             classes.append([start])
             margins.append([row[start]])
-            hit = _dfs(rows, n_limit, epsilon, slack, classes, margins, start + 1)
+            hit = _dfs(g, rows, n_limit, epsilon, slack, classes, margins, start + 1)
             classes.pop()
             margins.pop()
             if hit is not None:
@@ -77,7 +77,7 @@ def _dfs(rows: list[list[float]], n_limit: int, epsilon: float, slack: float,
         saved = margins[c]
         margins[c] = updated + [new_margin]
         mem.append(start)
-        hit = _dfs(rows, n_limit, epsilon, slack, classes, margins, start + 1)
+        hit = _dfs(g, rows, n_limit, epsilon, slack, classes, margins, start + 1)
         mem.pop()
         margins[c] = saved
         if hit is not None:
@@ -111,7 +111,7 @@ def min_partition(g: GramSystem, epsilon: float = 1e-12,
     rows = G.tolist()
 
     for n_limit in range(1, size + 1):
-        hit = _dfs(rows, n_limit, epsilon, slack, [], [], 0)
+        hit = _dfs(g, rows, n_limit, epsilon, slack, [], [], 0)
         if hit is not None:
             classes = tuple(tuple(i + 1 for i in cls) for cls in hit)
             return n_limit, Paving(classes=classes, modulus=None, range_end=size)

@@ -19,6 +19,7 @@ naturals or only for the stored window.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -54,9 +55,6 @@ class ResidueClass:
             raise ValueError(
                 f"need 1 <= offset <= modulus, got offset={self.offset}, "
                 f"modulus={self.modulus}")
-
-    def members_up_to(self, end: int) -> tuple[int, ...]:
-        return tuple(range(self.offset, end + 1, self.modulus))
 
 
 @dataclass(frozen=True)
@@ -175,14 +173,6 @@ def choose_modulus(amplitude: float, exponent: float, diag_floor: float) -> int:
     return m
 
 
-def _class_margin(block) -> float:
-    """Largest float at or below min_i (block[i,i] - sum_{j != i} block[i,j]).
-
-    ``block`` is a square float array; an empty one has margin +inf.
-    """
-    return _min_margin((block[i].tolist(), i) for i in range(len(block)))
-
-
 def _min_margin(rows) -> float:
     """Largest float at or below the smallest row margin; ``rows`` yields
     (row as a list, position i of its diagonal).
@@ -233,53 +223,68 @@ def _strided_candidates(g: GramSystem, members: Sequence[int], step: int) -> np.
         return np.flatnonzero(~(margin - err > (margin + err).min()))
 
 
-def _band_margin(g: GramSystem, members: np.ndarray, rows: np.ndarray) -> float:
-    """``_class_margin(g.submatrix(members))`` over the rows at positions
-    ``rows`` of a sorted class inside the truncation.
+class _EnvelopeCharges(dict):
+    """``envelope.bound(d) * _ENVELOPE_UP`` by distance d, as a Python float."""
 
-    Only the members within the stored bandwidth b of a row carry mass, so
-    each row passes just those, found by bisection, to the exact step: time
-    O(len(rows) * (b + log len(members))) and no len(members)^2 block.
-    """
-    b = g._band_limit()
-    lo = np.searchsorted(members, members[rows] - b).tolist()
-    hi = np.searchsorted(members, members[rows] + b, side="right").tolist()
-    return _min_margin((g._block(members[i:i + 1], members[l:h])[0].tolist(), i - l)
-                       for i, l, h in zip(rows.tolist(), lo, hi))
+    def __init__(self, envelope: DecayEnvelope | None):
+        super().__init__()
+        self.envelope = envelope
+
+    def __missing__(self, d: int) -> float:
+        self[d] = charge = self.envelope.bound(d) * _ENVELOPE_UP
+        return charge
 
 
 def _explicit_margin(g: GramSystem, members: Sequence[int],
                      envelope: DecayEnvelope | None,
                      diag_floor: float | None) -> float:
+    """Largest float at or below the margin of an explicit class.
+
+    Each row passes to :func:`_min_margin` the stored entries of the members
+    within the stored bandwidth b of it, found by bisection, where both
+    indices are stored; ``envelope.bound(d) * _ENVELOPE_UP`` at distance d
+    where either is not; and ``diag_floor`` on a diagonal past the
+    truncation.  Entries beyond the band are zero and leave an exact sum
+    unchanged.  A class of k members inside the truncation costs
+    O(k * (b + log k)), and an evenly spaced one only passes the rows
+    :func:`_strided_candidates` keeps.  A class reaching past the
+    truncation costs O(k^2) time and, as the bounds kept are cleared past 2k
+    distances, O(k) memory.
+    """
     members = sorted(set(int(i) for i in members))
     if not members:
         return math.inf
     if members[0] < 1:
         raise ValueError(f"indices are 1-based, got {members[0]}")
-    if members[-1] <= g.size:
-        gaps = {b - a for a, b in zip(members, members[1:])}
-        rows = _strided_candidates(g, members, gaps.pop()) if len(gaps) == 1 \
-            else np.arange(len(members))
-        return _band_margin(g, np.asarray(members, dtype=np.int64), rows)
-    # Some members lie beyond the truncation: exact entries where observed,
-    # envelope bounds elsewhere, asserted floor for unobserved diagonals.
-    if envelope is None:
-        raise MissingEnvelope(
-            f"class reaches index {members[-1]} beyond the truncation "
-            f"1..{g.size} and no envelope is available")
-    if diag_floor is None:
-        raise MissingEnvelope(
-            f"class reaches index {members[-1]} beyond the truncation "
-            f"1..{g.size} and no global diagonal floor is asserted")
+    k, observed = len(members), bisect.bisect_right(members, g.size)
+    gaps = {b - a for a, b in zip(members, members[1:])}
+    rows = range(k)
+    if observed == k and len(gaps) == 1:
+        rows = _strided_candidates(g, members, gaps.pop()).tolist()
+    elif observed < k and (envelope is None or diag_floor is None):
+        missing = "envelope is available" if envelope is None \
+            else "global diagonal floor is asserted"
+        raise MissingEnvelope(f"class reaches index {members[-1]} beyond the truncation "
+                              f"1..{g.size} and no {missing}")
     pos = np.asarray(members, dtype=np.int64)
-    dist = np.abs(pos[:, None] - pos[None, :])
-    distances = np.unique(dist)
-    bounds = np.array([envelope.bound(int(d)) * _ENVELOPE_UP for d in distances])
-    block = bounds[np.searchsorted(distances, dist)]
-    observed = int(np.count_nonzero(pos <= g.size))
-    block[:observed, :observed] = g.submatrix(members[:observed])
-    np.fill_diagonal(block[observed:, observed:], float(diag_floor))
-    return _class_margin(block)
+    b, inside = g._band_limit(), pos[:observed]
+    lo = np.searchsorted(inside, inside - b).tolist()
+    hi = np.searchsorted(inside, inside + b, side="right").tolist()
+    charges = _EnvelopeCharges(envelope)
+
+    def terms(i):
+        if len(charges) > 2 * k:
+            charges.clear()
+        if i >= observed:
+            row = list(map(charges.__getitem__, np.abs(pos - pos[i]).tolist()))
+            row[i] = float(diag_floor)
+            return row, i
+        row = g._block(pos[i:i + 1], pos[lo[i]:hi[i]])[0].tolist()
+        if observed < k:
+            row += map(charges.__getitem__, (pos[observed:] - pos[i]).tolist())
+        return row, i - lo[i]
+
+    return _min_margin(map(terms, rows))
 
 
 def _residue_margin(cls: ResidueClass, envelope: DecayEnvelope | None,
@@ -306,11 +311,12 @@ def class_margin_lower_bound(g: GramSystem, cls,
     """Certified lower bound on the margin of one class.
 
     ``cls`` is either an explicit index sequence or a :class:`ResidueClass`
-    over all the naturals.  Observed entries contribute exactly, so a class
-    inside the truncation gets the largest float at or below its exact
-    margin; members beyond the truncation contribute through the envelope
-    (and the asserted floor for their diagonals).  For a residue class the
-    bound is
+    over all the naturals.  An explicit class takes one row step: stored
+    entries count exactly, an entry with an index past the truncation as
+    its envelope bound times (1 + 8 eps), and a diagonal past it as the
+    asserted floor; the result is the largest float at or below the margin
+    of those terms, exact for a class inside the truncation.  For a residue
+    class the bound is
 
         diag_floor - 2*amplitude*(1 + 8 eps)*sum_{k>=1} (1 + k*modulus)**(-exponent)
 

@@ -66,6 +66,13 @@ class TestConstruction:
     def test_rejects_nan(self):
         with pytest.raises(InvalidGramData):
             GramSystem.from_entries([[math.nan]])
+        corner = np.eye(4)
+        corner[0, 3] = math.nan  # the widest offset, otherwise empty
+        with pytest.raises(InvalidGramData):
+            GramSystem.from_entries(corner)
+        with pytest.raises(InvalidGramData):
+            gram_from_json_dict({"size": 4, "entries": np.where(
+                np.isnan(corner), -1.0, corner).tolist()})
 
     def test_rejects_envelope_violation(self):
         with pytest.raises(InvalidGramData):
@@ -110,6 +117,17 @@ class TestConstruction:
                   gram_from_json_dict({"size": size, "entries": e.tolist()})):
             assert g._band_limit() == 2 and g._data.size == 5 * size - 6
             assert np.array_equal(g.dense(), e)
+
+    def test_narrow_band_entries_load_without_square_temporaries(self):
+        size = 3000
+        e = np.diag(np.full(size, 2.0)) + np.diag(np.full(size - 1, 0.5), 1) \
+            + np.diag(np.full(size - 1, 0.25), -1)
+        tracemalloc.start()
+        g = GramSystem.from_entries(e)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert g._band_limit() == 1 and g.entry(size, size - 1) == 0.25
+        assert peak < 2_000_000
 
     def test_submatrix_matches_dense(self):
         g = power_law_gram(1.0, 2.0, 1.0, 12)

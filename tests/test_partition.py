@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from framepaver import (
@@ -33,7 +33,6 @@ from framepaver import (
 from framepaver.bounds import shifted_power_sum
 from framepaver.gram import _ENVELOPE_UP
 from framepaver import partition
-from framepaver.partition import _class_margin
 
 GRID = [(a, s, c) for a in (0.5, 1.0, 2.0) for s in (1.5, 2.0, 3.0)
         for c in (0.5, 1.0, 4.0)]
@@ -285,25 +284,51 @@ def band_systems(draw):
     return g, members
 
 
+def _floor_margin(block) -> float:
+    """Largest float at or below the exact smallest row margin of a square
+    block, from Fraction arithmetic; +inf when empty."""
+    if not len(block):
+        return math.inf
+    exact = min(Fraction(float(row[i])) - sum(Fraction(float(v)) for j, v in enumerate(row)
+                                              if j != i)
+                for i, row in enumerate(block))
+    margin = float(exact)  # correctly rounded
+    return math.nextafter(margin, -math.inf) if Fraction(margin) > exact else margin
+
+
+def _envelope_block(g, members, envelope, diag_floor):
+    """The k x k block of a class reaching past the truncation: stored entries
+    where both indices are stored, the envelope bound times _ENVELOPE_UP at
+    every other off-diagonal, the floor on diagonals past the truncation."""
+    pos = np.asarray(members, dtype=np.int64)
+    dist = np.abs(pos[:, None] - pos[None, :])
+    distances = np.unique(dist)
+    bounds = np.array([envelope.bound(int(d)) * _ENVELOPE_UP for d in distances])
+    block = bounds[np.searchsorted(distances, dist)]
+    observed = int(np.count_nonzero(pos <= g.size))
+    block[:observed, :observed] = g.submatrix(members[:observed])
+    np.fill_diagonal(block[observed:, observed:], float(diag_floor))
+    return block
+
+
 @given(band_systems())
 def test_strided_kernel_matches_class_margin(system):
     g, members = system
     ix = np.ix_([i - 1 for i in members], [i - 1 for i in members])
-    expected = _class_margin(g.dense()[ix])
+    expected = _floor_margin(g.dense()[ix])
     assert class_margin_lower_bound(g, members).hex() == expected.hex()
 
 
 def test_in_window_classes_take_the_band_step(monkeypatch):
     g = power_law_gram(1.0, 2.0, 1.0, 30)
     classes = ([1, 2, 4, 8, 16], [3, 6, 9, 12, 15, 18])
-    expected = [_class_margin(g.dense()[np.ix_([i - 1 for i in c], [i - 1 for i in c])])
+    expected = [_floor_margin(g.dense()[np.ix_([i - 1 for i in c], [i - 1 for i in c])])
                 for c in classes]
 
     def forbidden(*args):
         raise AssertionError("an in-window class must not build its k x k block")
 
     monkeypatch.setattr(GramSystem, "submatrix", forbidden)
-    monkeypatch.setattr(partition, "_class_margin", forbidden)
     assert [class_margin_lower_bound(g, c) for c in classes] == expected
 
 
@@ -315,7 +340,8 @@ def test_uneven_class_on_bands_is_small():
     g = GramSystem._from_bands(np.concatenate(bands), [len(v) for v in bands],
                                size, None, None)
     members = np.sort(rng.choice(np.arange(1, size + 1), 2000, replace=False)).tolist()
-    expected = _class_margin(g.submatrix(members))
+    expected = partition._min_margin(
+        (row.tolist(), i) for i, row in enumerate(g.submatrix(members)))
     tracemalloc.start()
     got = class_margin_lower_bound(g, members)
     peak = tracemalloc.get_traced_memory()[1]
@@ -382,6 +408,58 @@ def test_residue_margin_stays_below_pushed_rows(A, s, modulus, size, ulps, data)
     offset = data.draw(st.integers(min_value=1, max_value=min(modulus, size)))
     margin = class_margin_lower_bound(g, ResidueClass(offset, modulus), env, C)
     assert margin <= _worst_row(off, env, C, offset, modulus)
+
+
+@st.composite
+def beyond_window_systems(draw):
+    """A power-law system, or entries under an envelope with some at its
+    allowance, with a class that reaches past the truncation: evenly spaced
+    or any set of indices."""
+    size = draw(st.integers(min_value=1, max_value=25))
+    A = draw(st.floats(min_value=0.1, max_value=4.0))
+    s = draw(st.floats(min_value=1.1, max_value=8.0))
+    floor = draw(st.floats(min_value=0.5, max_value=4.0))
+    if draw(st.booleans()):
+        g = power_law_gram(A, s, floor, size)
+    else:
+        env, line = _pushed_profile(A, s, size)
+        d = np.abs(np.subtract.outer(np.arange(size), np.arange(size)))
+        scale = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]),
+                              min_size=size * size, max_size=size * size))
+        e = np.concatenate(([0.0], line))[d] * np.reshape(scale, (size, size))
+        np.fill_diagonal(e, floor + np.arange(size) % 3)
+        g = GramSystem.from_entries(e, env, floor)
+    reach = size + draw(st.integers(min_value=1, max_value=40))
+    if draw(st.booleans()):
+        step = draw(st.integers(min_value=1, max_value=9))
+        start = draw(st.integers(min_value=1, max_value=step))
+        members = list(range(start, reach + 1, step))
+        assume(members[-1] > size)
+    else:
+        members = sorted(draw(st.sets(st.integers(min_value=1, max_value=reach), min_size=1))
+                         | {reach})
+    return g, members
+
+
+@given(beyond_window_systems())
+def test_beyond_window_classes_match_the_envelope_block(system):
+    g, members = system
+    env, floor = g.envelope, g.diag_floor
+    expected = _floor_margin(_envelope_block(g, members, env, floor))
+    assert class_margin_lower_bound(g, members, env, floor).hex() == expected.hex()
+
+
+def test_beyond_window_residue_class_is_small():
+    # One class of residue_partition(3, 6000) on 40 stored indices took a
+    # 96 MB k x k block.
+    g = power_law_gram(1.0, 2.0, 1.0, 40)
+    members = residue_partition(3, 6000).classes[0]
+    tracemalloc.start()
+    got = class_margin_lower_bound(g, members, g.envelope, g.diag_floor)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert got.hex() == "0x1.837589c7caaf9p-1"
+    assert peak < 2_000_000
 
 
 class TestCertify:
