@@ -268,12 +268,20 @@ class GramSystem:
         """
         r = np.asarray(rows, dtype=np.int64) - 1
         c = np.asarray(cols, dtype=np.int64) - 1
-        b, out = self._band_limit(), np.empty((r.size, c.size))
+        out = np.empty((r.size, c.size))
         for i, row in enumerate(r.tolist()):
-            at = np.clip(c - row, -b, b) + b  # out-of-band offsets read in range, then get 0
-            vals = self._data[self._start[at] + self._step[at] * np.minimum(row, c)]
-            out[i] = np.where(np.abs(c - row) <= b, vals, 0.0)
+            at = self._positions(row, c)  # the out-of-band position clips in range, then gets 0
+            out[i] = np.where(at < self._data.size, self._data.take(at, mode="clip"), 0.0)
         return out
+
+    def _positions(self, r, c) -> np.ndarray:
+        """Positions in ``_data`` of the 0-based entries (r, c), broadcast
+        together; ``_data.size`` where c - r lies beyond the stored band."""
+        b, o = self._band_limit(), c - r
+        at = o + b  # an out-of-band offset reads a clipped band, then is replaced
+        pos = self._start.take(at, mode="clip") \
+            + self._step.take(at, mode="clip") * np.minimum(r, c)
+        return np.where(np.abs(o) <= b, pos, self._data.size)
 
     def _diagonal(self, o: int) -> np.ndarray:
         """Read-only view of the size - |o| entries (r, r + o); |o| within the stored band."""
@@ -506,7 +514,39 @@ def gram_from_json_dict(payload) -> GramSystem:
 
 
 def gram_dumps(g: GramSystem) -> str:
-    return json.dumps(gram_to_json_dict(g), indent=2, allow_nan=False) + "\n"
+    """The wire text of ``g``: the bytes of
+    ``json.dumps(gram_to_json_dict(g), indent=2, allow_nan=False) + "\n"``.
+
+    Each stored value is formatted once, by the ``float.__repr__`` the JSON
+    encoder uses, and the rows or bands are laid out by indexing those
+    strings, so no size x size list of floats is built and the pure-Python
+    encoder that ``indent`` selects never sees the entries.  A Toeplitz
+    system still goes out as dense rows: a compact Toeplitz form waits on
+    certbench, whose check of ``gen`` output reads dense rows.
+    """
+    n, b = g.size, g.bandwidth()
+    text = np.array(list(map(float.__repr__, g._data.tolist())), dtype=object)
+    if (2 * b + 1) * n - b * (b + 1) < n * n:  # false only at b = n - 1: all stored
+        head = f'{{\n  "size": {n},\n  "entries": {{\n    "banded": {{\n' \
+               f'      "bandwidth": {b},\n      "bands": [\n        [\n          '
+        sep, gap, close = ",\n          ", "\n        ],\n        [\n          ", \
+            "\n        ]\n      ]\n    }\n  }"
+        rows = (g._positions(r, r + o) for o in range(-b, b + 1)
+                for r in [np.arange(max(0, -o), n - max(0, o))])
+    else:
+        head = f'{{\n  "size": {n},\n  "entries": [\n    [\n      '
+        sep, gap, close = ",\n      ", "\n    ],\n    [\n      ", "\n    ]\n  ]"
+        cols = np.arange(n)
+        rows = (g._positions(r, cols) for r in range(n))
+    envelope = "null" if g.envelope is None else '{\n    "A": %s,\n    "s": %s\n  }' % (
+        json.dumps(g.envelope.amplitude, allow_nan=False),
+        json.dumps(g.envelope.exponent, allow_nan=False))
+    floor = "null" if g.diag_floor is None else float.__repr__(float(g.diag_floor))
+    pieces = [head]
+    for at in rows:
+        pieces += (sep.join(text[at].tolist()), gap)
+    pieces[-1] = f'{close},\n  "envelope": {envelope},\n  "diag_floor": {floor}\n}}\n'
+    return "".join(pieces)
 
 
 def gram_loads(text: str) -> GramSystem:

@@ -241,10 +241,10 @@ def _explicit_margin(g: GramSystem, members: Sequence[int],
     """Largest float at or below the margin of an explicit class.
 
     Each row passes to :func:`_min_margin` the stored entries of the members
-    within the stored bandwidth b of it, found by bisection, where both
-    indices are stored; ``envelope.bound(d) * _ENVELOPE_UP`` at distance d
-    where either is not; and ``diag_floor`` on a diagonal past the
-    truncation.  Entries beyond the band are zero and leave an exact sum
+    within the stored bandwidth b of it, read by :func:`_stored_windows`,
+    where both indices are stored; ``envelope.bound(d) * _ENVELOPE_UP`` at
+    distance d where either is not; and ``diag_floor`` on a diagonal past
+    the truncation.  Entries beyond the band are zero and leave an exact sum
     unchanged.  A class of k members inside the truncation costs
     O(k * (b + log k)), and an evenly spaced one only passes the rows
     :func:`_strided_candidates` keeps.  A class reaching past the
@@ -267,24 +267,47 @@ def _explicit_margin(g: GramSystem, members: Sequence[int],
         raise MissingEnvelope(f"class reaches index {members[-1]} beyond the truncation "
                               f"1..{g.size} and no {missing}")
     pos = np.asarray(members, dtype=np.int64)
-    b, inside = g._band_limit(), pos[:observed]
-    lo = np.searchsorted(inside, inside - b).tolist()
-    hi = np.searchsorted(inside, inside + b, side="right").tolist()
     charges = _EnvelopeCharges(envelope)
+    windows = _stored_windows(g, pos[:observed], rows[:bisect.bisect_left(rows, observed)])
 
-    def terms(i):
+    def terms(i):  # rows ascend, so the stored ones come first
         if len(charges) > 2 * k:
             charges.clear()
         if i >= observed:
             row = list(map(charges.__getitem__, np.abs(pos - pos[i]).tolist()))
             row[i] = float(diag_floor)
             return row, i
-        row = g._block(pos[i:i + 1], pos[lo[i]:hi[i]])[0].tolist()
+        row, at = next(windows)
         if observed < k:
             row += map(charges.__getitem__, (pos[observed:] - pos[i]).tolist())
-        return row, i - lo[i]
+        return row, at
 
     return _min_margin(map(terms, rows))
+
+
+# Most entries _stored_windows gathers at once (one row may hold more).
+_GATHER = 1 << 14
+
+
+def _stored_windows(g: GramSystem, inside: np.ndarray, rows: Sequence[int]):
+    """For each of ``rows`` (positions in the sorted stored members
+    ``inside``), its stored entries at the members within the stored
+    bandwidth b of it, found by bisection, and the position of its diagonal
+    among them.  The offsets lie within the band by construction, so one
+    gather over the windows of a chunk of rows reads them all.
+    """
+    b = g._band_limit()
+    lo = np.searchsorted(inside, inside - b)
+    width = np.searchsorted(inside, inside + b, side="right") - lo
+    chunk = max(1, _GATHER // max(1, min(inside.size, 2 * b + 1)))
+    for first in range(0, len(rows), chunk):
+        sel = np.asarray(rows[first:first + chunk], dtype=np.int64)
+        n = width[sel]
+        ends = n.cumsum()
+        cols = inside[np.arange(ends[-1]) + (lo[sel] - ends + n).repeat(n)] - 1
+        vals = g._data[g._positions((inside[sel] - 1).repeat(n), cols)].tolist()
+        yield from ((vals[e - m:e], d) for e, m, d in
+                    zip(ends.tolist(), n.tolist(), (sel - lo[sel]).tolist()))
 
 
 def _residue_margin(cls: ResidueClass, envelope: DecayEnvelope | None,

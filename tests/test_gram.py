@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -344,7 +344,50 @@ class TestFitEnvelope:
         assert verify_envelope(g, fit.envelope).passed
 
 
+# Values whose text the writer must reproduce: signed zero, subnormals, huge.
+wire_values = st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e300,
+                               0.1, 1.0 / 3.0]) | st.floats(0.0, 10.0)
+
+
+def _system(bands, size, with_envelope, with_floor):
+    """Band storage of ``bands`` (offsets -b..b, a list of one value kept as
+    one value), optionally under a valid envelope and at its diagonal floor."""
+    values = np.array([v for band in bands for v in band], dtype=np.float64)
+    lengths = [len(band) for band in bands]
+    g = GramSystem._from_bands(values, lengths, size, None, None)
+    envelope = DecayEnvelope(2.0 * certified_min_amplitude(g, 2.0) or 1.0, 2.0) \
+        if with_envelope else None
+    floor = float(g.diag().min()) if with_floor else None
+    return GramSystem._from_bands(values, lengths, size, envelope, floor)
+
+
+@st.composite
+def stored_systems(draw):
+    size = draw(st.integers(1, 12))
+    limit = draw(st.integers(0, size - 1))
+    bands = [draw(st.lists(wire_values, min_size=n, max_size=n))
+             for n in (1 if draw(st.booleans()) else size - abs(o)
+                       for o in range(-limit, limit + 1))]
+    return _system(bands, size, draw(st.booleans()), draw(st.booleans()))
+
+
 class TestSerialization:
+    @given(stored_systems())
+    @example(_system([[3.0]], 1, True, True))
+    @example(_system([[-0.0], [2.0, 5e-324, 1e300, 2.0, 2.0, 2.0], [0.1]], 6, True, False))
+    @example(_system([[0.5], [-0.0, 1e300], [2.0, 5e-324, 1.0], [0.1, 0.0], [0.5]], 3, False, True))
+    def test_writer_matches_the_json_encoder(self, g):
+        expected = json.dumps(gram_to_json_dict(g), indent=2, allow_nan=False) + "\n"
+        assert gram_dumps(g) == expected
+
+    def test_writer_peak_stays_under_three_texts(self):
+        g = power_law_gram(1.0, 2.0, 1.0, 1000)
+        tracemalloc.start()
+        text = gram_dumps(g)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 3 * len(text)
+
     def test_dense_round_trip_bit_identical(self):
         g = power_law_gram(1.0, 2.0, 1.0, 6)
         text = gram_dumps(g)
