@@ -32,7 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="certified zeta / decay-sum / separation constants")
     p.add_argument("--s", type=float, required=True, help="decay exponent, s > 1")
-    p.add_argument("--tol", type=float, default=1e-9, help="zeta enclosure width")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_constants)
 
@@ -140,7 +139,7 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _cmd_constants(args) -> int:
-    c = LocalizationConstants.compute(args.s, zeta_tol=args.tol)
+    c = LocalizationConstants.compute(args.s)
     _emit({"s": c.s, "zeta": c.zeta.as_pair(), "d_s": c.sup_sum.as_pair(),
            "c_s": c.separation}, args.out)
     return 0
@@ -297,3 +296,7 @@ def dispatch(argv) -> int:
 
 def main() -> None:
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

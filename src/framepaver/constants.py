@@ -148,7 +148,7 @@ class LocalizationConstants:
             raise ValueError("separation constant is at least 2 (zeta exceeds 1)")
 
     @classmethod
-    def compute(cls, s: float, zeta_tol: float = 1e-9) -> "LocalizationConstants":
+    def compute(cls, s: float) -> "LocalizationConstants":
         s = require_exponent(s)
-        return cls(s=s, zeta=zeta(s, zeta_tol), sup_sum=sup_decay_sum(s),
+        return cls(s=s, zeta=hurwitz_zeta(s, 1.0), sup_sum=sup_decay_sum(s),
                    separation=separation_constant(s))

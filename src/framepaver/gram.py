@@ -13,11 +13,12 @@ the naturals:
 Entries within the truncation are exact data; entries beyond it are known
 only through those assertions, which is what :func:`entry_bound` encodes.
 
-A system is stored as bands: one array per offset (column - row) up to the
-last offset holding a nonzero entry, where an offset of a distance profile
-keeps one value.  Every constructor and both wire forms build bands, so
-memory is O(size * bandwidth) and a system survives a round trip through
-the wire format unchanged.
+A system is stored as bands by one rule, which every constructor and both
+wire forms go through (:meth:`GramSystem._from_bands`): offsets (column -
+row) run up to the last one holding a nonzero entry, and an offset whose
+entries are bitwise equal keeps one value, any other an array.  Storage
+thus depends only on the entries, memory is O(size * bandwidth), and a
+system survives a round trip through the wire format unchanged.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .bounds import Interval, require_exponent
+from .bounds import Interval, hurwitz_zeta, require_exponent
 from .errors import (
     IndexBeyondTruncation,
     InvalidExponent,
@@ -98,8 +99,8 @@ def _bands_of_square(arr: np.ndarray) -> tuple[np.ndarray, list[int]]:
     :meth:`GramSystem._from_bands`, of a square array, where b is the last
     offset holding a nonzero entry (NaN counts).
 
-    Diagonals are read as views from the widest offset inward, so only the
-    kept bands are copied.
+    Diagonals are read as views from the widest offset inward, so a narrow
+    square is not copied whole; storage is decided by ``_from_bands``.
     """
     size = arr.shape[0]
     b = size - 1
@@ -138,8 +139,7 @@ class GramSystem:
     @classmethod
     def from_entries(cls, entries, envelope: DecayEnvelope | None = None,
                      diag_floor: float | None = None) -> "GramSystem":
-        """Construction from a square array of moduli, stored as bands up to
-        the last offset holding a nonzero entry."""
+        """Construction from a square array of moduli."""
         arr = np.asarray(entries, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise InvalidGramData(f"entries must be a square matrix, got shape {arr.shape}")
@@ -151,16 +151,13 @@ class GramSystem:
                               diag_floor: float | None = None) -> "GramSystem":
         """Toeplitz construction: entry(n, m) = profile[|n - m|].
 
-        ``profile`` has length size; profile[0] is the diagonal value.  The
-        system stores one value per offset up to the last nonzero distance.
+        ``profile`` has length size; profile[0] is the diagonal value.
         """
         prof = np.asarray(profile, dtype=np.float64)
         if prof.ndim != 1 or prof.size < 1:
             raise InvalidGramData("distance profile must be a nonempty vector")
-        nonzero = np.flatnonzero(prof[1:])  # NaN counts, so validation sees it
-        b = int(nonzero[-1]) + 1 if nonzero.size else 0
-        return cls._from_bands(np.concatenate((prof[b:0:-1], prof[:b + 1])),
-                               np.ones(2 * b + 1, dtype=np.int64), int(prof.size),
+        return cls._from_bands(np.concatenate((prof[:0:-1], prof)),
+                               np.ones(2 * prof.size - 1, dtype=np.int64), int(prof.size),
                                envelope, diag_floor)
 
     @classmethod
@@ -182,11 +179,30 @@ class GramSystem:
 
     @classmethod
     def _from_bands(cls, values, lengths, size, envelope, diag_floor) -> "GramSystem":
-        """Band storage of the offsets -b..b end to end in ``values``, length 1 for one value."""
+        """Band storage of the offsets -b..b given end to end in ``values``
+        (length 1 for one value); the one place storage is decided.
+
+        Outer offsets whose +-pair holds no nonzero entry are dropped (NaN
+        counts as nonzero, so validation sees it), and an offset whose
+        entries are bitwise equal keeps one value, so 0.0 and -0.0 stay
+        apart.  Each test is one reduction per offset over the whole array,
+        and temporaries are no larger than what is kept.
+        """
         lengths = np.asarray(lengths, dtype=np.int64)
+        start = np.cumsum(lengths) - lengths
+        bits = values.view(np.int64)
+        same = np.maximum.reduceat(bits, start) == np.minimum.reduceat(bits, start)
+        nonzero = (np.maximum.reduceat(values, start) != 0.0) \
+            | (np.minimum.reduceat(values, start) != 0.0)
+        offsets = np.abs(np.arange(len(lengths)) - len(lengths) // 2)
+        keep = offsets <= offsets[nonzero].max(initial=0)
+        lengths, start = np.where(same, 1, lengths)[keep], start[keep]
+        end = np.cumsum(lengths)
+        if end[-1] < values.size:
+            values = values[np.arange(end[-1]) + (start - end + lengths).repeat(lengths)]
         values.setflags(write=False)
         return cls(data=values, size=size, envelope=envelope, diag_floor=diag_floor,
-                   start=np.cumsum(lengths) - lengths, step=np.minimum(lengths - 1, 1))
+                   start=end - lengths, step=np.minimum(lengths - 1, 1))
 
     # -- invariants ---------------------------------------------------------
 
@@ -237,7 +253,8 @@ class GramSystem:
         n = self._size
         out = np.zeros((n, n))
         flat = out.reshape(-1)  # diagonal o starts at flat index max(o, -o*n), stride n + 1
-        for o in range(-self._band_limit(), self._band_limit() + 1):
+        b = self.bandwidth()
+        for o in range(-b, b + 1):
             flat[max(o, -o * n):max(o, -o * n) + (n - abs(o)) * (n + 1):n + 1] = self._diagonal(o)
         return out
 
@@ -250,16 +267,13 @@ class GramSystem:
         return self._block(pos, pos)
 
     def bandwidth(self) -> int:
-        """Largest |n - m| carrying a nonzero entry (0 for diagonal systems)."""
-        nonzero = np.flatnonzero(self._distance_values())
-        return int(nonzero[-1]) + 1 if nonzero.size else 0
+        """Largest |n - m| carrying a nonzero entry (0 for diagonal systems),
+        which is the stored b."""
+        return len(self._start) // 2
 
     def __repr__(self) -> str:
         return (f"GramSystem(size={self._size}, "
                 f"envelope={self.envelope}, diag_floor={self.diag_floor})")
-
-    def _band_limit(self) -> int:  # stored bandwidth b
-        return len(self._start) // 2
 
     def _block(self, rows, cols) -> np.ndarray:
         """Entries at 1-based rows x cols, checked by the caller.
@@ -277,7 +291,7 @@ class GramSystem:
     def _positions(self, r, c) -> np.ndarray:
         """Positions in ``_data`` of the 0-based entries (r, c), broadcast
         together; ``_data.size`` where c - r lies beyond the stored band."""
-        b, o = self._band_limit(), c - r
+        b, o = self.bandwidth(), c - r
         at = o + b  # an out-of-band offset reads a clipped band, then is replaced
         pos = self._start.take(at, mode="clip") \
             + self._step.take(at, mode="clip") * np.minimum(r, c)
@@ -285,14 +299,14 @@ class GramSystem:
 
     def _diagonal(self, o: int) -> np.ndarray:
         """Read-only view of the size - |o| entries (r, r + o); |o| within the stored band."""
-        i = o + self._band_limit()  # a step of 0 repeats one value along the view
+        i = o + self.bandwidth()  # a step of 0 repeats one value along the view
         return np.ndarray((self._size - abs(o),), np.float64, self._data,
                           8 * self._start[i], (8 * self._step[i],))
 
     def _distance_values(self) -> np.ndarray:
         """Largest stored modulus at each distance d = 1..size-1, at index d - 1;
         each band reduces in one pass."""
-        b, peak = self._band_limit(), np.maximum.reduceat(self._data, self._start)
+        b, peak = self.bandwidth(), np.maximum.reduceat(self._data, self._start)
         return np.concatenate((np.maximum(peak[b + 1:], peak[:b][::-1]),
                                np.zeros(self._size - 1 - b)))
 
@@ -385,11 +399,9 @@ def fit_envelope(g: GramSystem) -> EnvelopeFit:
     a convenience for ingest; certificates must re-verify any envelope they
     rely on (attaching the fit to a GramSystem does exactly that).
     """
-    from .constants import zeta  # local import; constants does not need gram
-
     fits = ((s, certified_min_amplitude(g, s)) for s in _FIT_GRID)
     # the smallest objective, the largest exponent on ties
-    objective, neg_s, amplitude = min((2.0 * a * (zeta(s, 1e-6).hi - 1.0), -s, a)
+    objective, neg_s, amplitude = min((2.0 * a * (hurwitz_zeta(s, 1.0).hi - 1.0), -s, a)
                                       for s, a in fits)
     if amplitude <= 0.0:
         # No off-diagonal mass: any envelope is valid; report a token one.
@@ -410,10 +422,11 @@ def fit_envelope(g: GramSystem) -> EnvelopeFit:
 #
 # In the banded form, bands run over offsets o = -b..+b (offset = column -
 # row); band i holds the diagonal at offset i - b, length size - |offset|;
-# entries beyond the band are implicitly zero.  Both forms load as band
-# storage; dense rows fill a size x size array whose diagonals are then
-# read up to the last nonzero offset.  The writer picks whichever form
-# stores fewer numbers, so serialization is content-deterministic.
+# entries beyond the band are implicitly zero.  Both forms load through
+# GramSystem._from_bands, so the same entries get the same storage either
+# way; dense rows fill a size x size array whose diagonals are read up to
+# the last nonzero offset first.  The writer picks whichever form stores
+# fewer numbers, so serialization is content-deterministic.
 
 
 def gram_to_json_dict(g: GramSystem) -> dict:

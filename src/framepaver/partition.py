@@ -39,6 +39,7 @@ from .gram import (
     SCOPE_TRUNCATION,
     DecayEnvelope,
     GramSystem,
+    _require_numbers,
     diag_lower_bound,
 )
 
@@ -209,7 +210,7 @@ def _strided_candidates(g: GramSystem, members: Sequence[int], step: int) -> np.
     overflow) are kept.
     """
     k, first = len(members), members[0] - 1
-    reach = min(g._band_limit() // step, k - 1)
+    reach = min(g.bandwidth() // step, k - 1)
     total = np.zeros(k)
     for q in range(-reach, reach + 1):
         lo, hi = max(0, -q), min(k, k - q)  # rows whose neighbour q lies in the class
@@ -296,7 +297,7 @@ def _stored_windows(g: GramSystem, inside: np.ndarray, rows: Sequence[int]):
     among them.  The offsets lie within the band by construction, so one
     gather over the windows of a chunk of rows reads them all.
     """
-    b = g._band_limit()
+    b = g.bandwidth()
     lo = np.searchsorted(inside, inside - b)
     width = np.searchsorted(inside, inside + b, side="right") - lo
     chunk = max(1, _GATHER // max(1, min(inside.size, 2 * b + 1)))
@@ -505,10 +506,16 @@ def certificate_from_json_dict(payload) -> ARSCertificate:
     paving = paving_from_json_dict({"range": rng, "modulus": modulus, "classes": members})
     if not isinstance(margins, list):
         raise InvalidGramData("margins must be a list")
-    loaded = tuple(math.inf if m is None else float(m) for m in margins)
+    numbers = _require_numbers([0 if m is None else m for m in margins],
+                               paving.n_classes, "margins").tolist()
+    if any(m is None and (paving.classes is None or paving.classes[j])
+           for j, m in enumerate(margins)):
+        raise InvalidGramData("only the margin of an empty class may be null")
+    loaded = tuple(math.inf if m is None else x for m, x in zip(margins, numbers))
+    epsilon = _require_numbers([epsilon], 1, "epsilon").tolist()[0]
     try:
         return ARSCertificate(paving=paving, per_class_margin=loaded,
-                              epsilon=float(epsilon), scope=str(scope),
+                              epsilon=epsilon, scope=str(scope),
                               verdict=str(verdict))
     except (ValueError, TypeError) as exc:
         raise InvalidGramData(f"invalid certificate: {exc}") from None

@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -45,6 +46,14 @@ class TestConstantsCommand:
         lo, hi = payload["d_s"]
         assert lo <= 2.0 * math.pi**2 / 6.0 - 1.0 <= hi
 
+    def test_exponent_near_one_is_enclosed(self, run):
+        # the enclosure is about 3e-9 wide here; no width limit rejects it
+        code, out, _ = run(["constants", "--s", "1.000001"])
+        assert code == 0
+        lo, hi = json.loads(out)["zeta"]
+        with mpmath.workdps(40):
+            assert lo <= mpmath.zeta(mpmath.mpf(1.000001)) <= hi
+
     def test_invalid_exponent_is_input_error(self, run):
         code, _, err = run(["constants", "--s", "1.0"])
         assert code == 1
@@ -53,14 +62,15 @@ class TestConstantsCommand:
     def test_python_dash_m_matches_dispatch(self, run):
         src = str(pathlib.Path(framepaver.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
-        for argv, expected_code in ((["constants", "--s", "2"], 0),
-                                    (["constants", "--s", "1.0"], 1)):
-            proc = subprocess.run([sys.executable, "-m", "framepaver", *argv],
-                                  capture_output=True, text=True, env=env,
-                                  timeout=120)
-            code, out, _ = run(argv)
-            assert proc.returncode == code == expected_code
-            assert proc.stdout == out
+        for module in ("framepaver", "framepaver.cli"):
+            for argv, expected_code in ((["constants", "--s", "2"], 0),
+                                        (["constants", "--s", "1.0"], 1)):
+                proc = subprocess.run([sys.executable, "-m", module, *argv],
+                                      capture_output=True, text=True, env=env,
+                                      timeout=120)
+                code, out, _ = run(argv)
+                assert proc.returncode == code == expected_code
+                assert proc.stdout == out
 
 
 class TestGenCommand:

@@ -115,7 +115,10 @@ class TestConstruction:
             + np.diag(np.full(size - 1, 0.25), -1)
         for g in (GramSystem.from_entries(e),
                   gram_from_json_dict({"size": size, "entries": e.tolist()})):
-            assert g._band_limit() == 2 and g._data.size == 5 * size - 6
+            # every offset -2..2 is constant (-2 and 1 hold zeros), so each
+            # keeps one value
+            assert g.bandwidth() == 2 and g._data.size == 5
+            assert g._step.tolist() == [0, 0, 0, 0, 0]
             assert np.array_equal(g.dense(), e)
 
     def test_narrow_band_entries_load_without_square_temporaries(self):
@@ -126,7 +129,7 @@ class TestConstruction:
         g = GramSystem.from_entries(e)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert g._band_limit() == 1 and g.entry(size, size - 1) == 0.25
+        assert g.bandwidth() == 1 and g.entry(size, size - 1) == 0.25
         assert peak < 2_000_000
 
     def test_submatrix_matches_dense(self):
@@ -371,7 +374,45 @@ def stored_systems(draw):
     return _system(bands, size, draw(st.booleans()), draw(st.booleans()))
 
 
+@st.composite
+def band_cases(draw):
+    """Band systems whose offsets are zero past a drawn one and otherwise
+    one value, constant arrays, mixes of 0.0 and -0.0, or any values."""
+    size = draw(st.integers(1, 10))
+    limit = draw(st.integers(0, size - 1))
+    zero_from = draw(st.integers(1, limit + 1))
+    signed_zeros = st.sampled_from([0.0, -0.0])
+    bands = []
+    for o in range(-limit, limit + 1):
+        n = size - abs(o)
+        kind = "zeros" if abs(o) >= zero_from else \
+            draw(st.sampled_from(["one", "constant", "zeros", "any"]))
+        if kind == "one":
+            bands.append([draw(wire_values)])
+        elif kind == "constant":
+            bands.append([draw(wire_values)] * n)
+        else:
+            values = signed_zeros if kind == "zeros" else wire_values | signed_zeros
+            bands.append(draw(st.lists(values, min_size=n, max_size=n)))
+    return _system(bands, size, draw(st.booleans()), draw(st.booleans()))
+
+
+def _layout(g):
+    return g._data.view(np.int64).tolist(), g._start.tolist(), g._step.tolist()
+
+
 class TestSerialization:
+    @given(band_cases())
+    @example(gram_from_json_dict({"size": 5, "entries": {"banded": {"bandwidth": 2, "bands": [
+        [0.0] * 3, [0.5] * 4, [1.0, 2.0, 3.0, 4.0, 5.0], [0.25, 0.5, 0.5, 0.5], [0.0] * 3]}}}))
+    @example(_system([[0.0, -0.0], [1.0, 1.0, 1.0], [-0.0, -0.0]], 3, False, False))
+    def test_storage_depends_only_on_the_entries(self, g):
+        dense = g.dense()
+        rows, cols = np.nonzero(dense)
+        assert g.bandwidth() == max(np.abs(rows - cols).tolist(), default=0)
+        for again in (gram_loads(gram_dumps(g)), GramSystem.from_entries(dense)):
+            assert _layout(again) == _layout(g)
+
     @given(stored_systems())
     @example(_system([[3.0]], 1, True, True))
     @example(_system([[-0.0], [2.0, 5e-324, 1e300, 2.0, 2.0, 2.0], [0.1]], 6, True, False))
@@ -381,12 +422,15 @@ class TestSerialization:
         assert gram_dumps(g) == expected
 
     def test_writer_peak_stays_under_three_texts(self):
-        g = power_law_gram(1.0, 2.0, 1.0, 1000)
-        tracemalloc.start()
-        text = gram_dumps(g)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        assert peak < 3 * len(text)
+        made = power_law_gram(1.0, 2.0, 1.0, 1000)
+        loaded = gram_loads(gram_dumps(made))  # the text `gen power-law` writes
+        assert loaded._data.size == made._data.size == 1999
+        for g in (made, loaded):
+            tracemalloc.start()
+            text = gram_dumps(g)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < 3 * len(text)
 
     def test_dense_round_trip_bit_identical(self):
         g = power_law_gram(1.0, 2.0, 1.0, 6)

@@ -586,6 +586,23 @@ class TestPavingSerialization:
         with pytest.raises(InvalidGramData):
             certificate_from_json_dict(payload)
 
+    @pytest.mark.parametrize("key,value", [
+        ("margins", [True, 0.5, 0.5]),
+        ("margins", ["nan", 0.5, 0.5]),
+        ("margins", ["inf", 0.5, 0.5]),
+        ("margins", ["0.5", 0.5, 0.5]),
+        ("margins", [None, 0.5, 0.5]),  # null stands only for an empty class
+        ("epsilon", True),
+        ("epsilon", "0.5"),
+        ("epsilon", None),
+    ])
+    def test_certificate_needs_json_numbers(self, key, value):
+        payload = certificate_to_json_dict(
+            certify(GramSystem.from_entries(np.eye(6)), residue_partition(3, 6), 0.5))
+        payload[key] = value
+        with pytest.raises(InvalidGramData):
+            certificate_from_json_dict(payload)
+
     def test_finite_certificate_cannot_claim_global_scope(self):
         payload = certificate_to_json_dict(
             certify(GramSystem.from_entries(np.eye(6)), residue_partition(3, 6), 0.5))
