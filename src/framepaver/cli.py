@@ -265,11 +265,16 @@ def _cmd_report(args) -> int:
         opayload, olabel = _load_json(args.oracle)
         if not isinstance(opayload, dict) or "N" not in opayload:
             raise InvalidGramData(f"{olabel}: expected oracle output with 'N'")
+        n = opayload["N"]
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            shown = repr(n) if isinstance(n, (int, float)) else type(n).__name__
+            raise InvalidGramData(f"{olabel}: oracle 'N' must be an integer >= 1, "
+                                  f"got {shown}")
         lines.append("theory vs oracle:")
         lines.append(f"  certified modulus: {p.modulus}")
-        lines.append(f"  oracle minimum:    {opayload['N']}")
-        if p.modulus is not None and isinstance(opayload["N"], int):
-            lines.append(f"  gap:               {p.modulus - opayload['N']}")
+        lines.append(f"  oracle minimum:    {n}")
+        if p.modulus is not None:
+            lines.append(f"  gap:               {p.modulus - n}")
     _write("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -8,11 +8,7 @@ with a rigorous remainder bound and a float64 rounding allowance):
   wide.
 * ``sup_decay_sum(s)``: the supremum over real x of
   ``sum_{n>=1} (1 + |n - x|)**(-s)``, the uniform one-row mass of a
-  unit-spaced index set.  At an integer x = m the sum is exactly
-  ``2*zeta(s) - 1 - zeta(s, m + 1)``, increasing in m towards
-  ``2*zeta(s) - 1``; the enclosure takes that value at m + 1 = 2**1000 as
-  its lower endpoint and the limit as its upper endpoint, so it stays valid
-  without the attainment argument.
+  unit-spaced index set, which is exactly ``2*zeta(s) - 1``.
 * ``separation_constant(s)``: an admissible constant kappa such that every
   index set with pairwise gaps >= delta has one-row mass at most
   ``kappa / delta**s``.  A delta-separated set has k-th neighbor at distance
@@ -62,27 +58,23 @@ def separation_constant(s: float) -> float:
     return 2.0 * hurwitz_zeta(s, 1.0).hi
 
 
-# m + 1 for the interior integer m where the lower endpoint is taken: any
-# integer is valid, and one this deep leaves a far tail below float64
-# resolution unless s is within a few hundredths of 1.
-_SUP_DEPTH = 2.0 ** 1000
-
-
 def sup_decay_sum(s: float) -> Interval:
     """Enclosure of sup over real x of sum_{n>=1} (1 + |n - x|)**(-s).
 
-    Lower endpoint: the sum at the integer x = m, which is exactly
-    ``2*zeta(s) - 1 - zeta(s, m + 1)``, taken at m + 1 = 2**1000; any such
-    evaluation is a valid lower bound for the supremum.  Upper endpoint:
-    ``2*zeta(s) - 1``, the limit value along integers, which dominates the
-    whole line for s > 1.  The width is the far tail ``zeta(s, 2**1000)``
-    plus a few ulps (under 1e-6 for s >= 1.03).
+    The supremum is exactly ``2*zeta(s) - 1``, and the enclosure is
+    ``[2*zeta.lo - 1, 2*zeta.hi - 1]`` rounded outward, about twice the
+    zeta enclosure wide.  Proof: the one-sided sum is at most the sum over
+    all integers n, which has period 1 in x.  For x = m + t with t in
+    [0, 1] that sum is ``zeta(s, 1 + t) + zeta(s, 2 - t)``, convex in t
+    (every term is) and symmetric about t = 1/2, so its largest value is at
+    t = 0 and t = 1, where it equals ``zeta(s) + zeta(s, 2) = 2*zeta(s) - 1``.
+    At an integer x = m the one-sided sum is exactly
+    ``2*zeta(s) - 1 - zeta(s, m + 1)``, which rises to that bound as m grows.
     """
     s = require_exponent(s)
     z = hurwitz_zeta(s, 1.0)
-    far = hurwitz_zeta(s, _SUP_DEPTH)
+    lower = math.nextafter(2.0 * z.lo - 1.0, -math.inf)
     upper = math.nextafter(2.0 * z.hi - 1.0, math.inf)
-    lower = math.nextafter(math.fsum((2.0 * z.lo, -1.0, -far.hi)), -math.inf)
     # The term at n = x alone gives 1.
     return Interval(max(lower, 1.0), upper)
 

@@ -50,9 +50,16 @@ class TestConstantsCommand:
         # the enclosure is about 3e-9 wide here; no width limit rejects it
         code, out, _ = run(["constants", "--s", "1.000001"])
         assert code == 0
-        lo, hi = json.loads(out)["zeta"]
+        payload = json.loads(out)
+        lo, hi = payload["zeta"]
+        d_lo, d_hi = payload["d_s"]
         with mpmath.workdps(40):
-            assert lo <= mpmath.zeta(mpmath.mpf(1.000001)) <= hi
+            z = mpmath.zeta(mpmath.mpf(1.000001))
+            assert lo <= z <= hi
+            assert d_lo <= 2 * z - 1 <= d_hi
+        # the decay-sum supremum is 2*zeta - 1: twice the zeta width plus
+        # the outward rounding
+        assert d_hi - d_lo <= 2.0 * (hi - lo) + 4.0 * math.ulp(d_hi)
 
     def test_invalid_exponent_is_input_error(self, run):
         code, _, err = run(["constants", "--s", "1.0"])
@@ -239,6 +246,20 @@ class TestReportCommand:
         assert code == 0
         assert "theory vs oracle" in out
         assert "gap" in out
+
+    @pytest.mark.parametrize("bad_n", [True, 2.5, 0, "3"])
+    def test_oracle_count_must_be_a_positive_integer(self, run, tmp_path, bad_n):
+        _, gram_text, _ = run(["gen", "power-law", "--A", "1", "--s", "2",
+                               "--C", "1", "--size", "12"])
+        _, cert_text, _ = run(["partition"], stdin_text=gram_text)
+        oracle_path = tmp_path / "oracle.json"
+        oracle_path.write_text(json.dumps({"N": bad_n}), encoding="utf-8")
+        code, out, err = run(["report", "--oracle", str(oracle_path)],
+                             stdin_text=cert_text)
+        assert code == 1
+        assert out == ""
+        assert str(oracle_path) in err
+        assert "'N' must be an integer" in err
 
 
 class TestFitCommand:

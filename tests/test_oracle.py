@@ -3,15 +3,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framepaver import (
     GramSystem,
     Infeasible,
     IndexOutOfRange,
+    InvalidGramData,
     exact_margin,
     min_partition,
     power_law_gram,
 )
+from framepaver import oracle
 
 
 def constant_offdiag(size, off, diag=1.0):
@@ -61,6 +65,48 @@ def brute_force_min(g, epsilon):
     return best
 
 
+def brute_force_first_witness(g, epsilon, n):
+    """The first paving with n classes, in the restricted-growth order of
+    all_partitions, whose classes all have exact rational margin >= epsilon."""
+    G = g.dense()
+    for partition in all_partitions(g.size):
+        if len(partition) == n and all(fraction_margin(G, cls) >= epsilon
+                                       for cls in partition):
+            return tuple(tuple(i + 1 for i in cls) for cls in partition)
+    return None
+
+
+def index_order_deepening(g, epsilon):
+    """Reference: iterative deepening over class counts from 1, every count
+    searched in index order, as min_partition searched before it proved the
+    count on the most constrained indices first."""
+    G = g.dense()
+    mass = float(G.sum(axis=1).max()) + float(G.diagonal().max())
+    floor = epsilon - 64.0 * oracle._EPS * (mass + 1.0) * g.size
+    rows = G.tolist()
+    labels = list(range(1, g.size + 1))
+    for n in range(1, g.size + 1):
+        hit = oracle._dfs(g, rows, labels, n, epsilon, floor, [], [], 0)
+        if hit is not None:
+            return n, tuple(tuple(i + 1 for i in cls) for cls in hit)
+    return None
+
+
+@st.composite
+def oracle_instances(draw):
+    """Instances of size 2-7 with diagonal in [0.5, 1.5] and off-diagonal
+    entries in [0, 0.7], symmetric or not, and an epsilon below the diagonal."""
+    t = draw(st.integers(min_value=2, max_value=7))
+    off = st.floats(min_value=0.0, max_value=0.7)
+    e = np.array(draw(st.lists(st.lists(off, min_size=t, max_size=t),
+                               min_size=t, max_size=t)))
+    if draw(st.booleans()):
+        e = np.triu(e, 1) + np.triu(e, 1).T
+    np.fill_diagonal(e, draw(st.lists(st.floats(min_value=0.5, max_value=1.5),
+                                      min_size=t, max_size=t)))
+    return GramSystem.from_entries(e), draw(st.sampled_from([0.0, 1e-12, 0.25, 0.5]))
+
+
 class TestExactMargin:
     def test_hand_case_point_three(self):
         g = constant_offdiag(5, 0.3)
@@ -83,6 +129,18 @@ class TestExactMargin:
             exact_margin(g, [1, 4])
         with pytest.raises(IndexOutOfRange):
             exact_margin(g, [0, 1])
+
+    @pytest.mark.parametrize("members", [[1.9, 2], [1, True], [2.0], [np.float64(1.0)],
+                                         ["1"]])
+    def test_non_integer_members_rejected(self, members):
+        # 1.9 used to be truncated to index 1 and True read as index 1
+        g = constant_offdiag(3, 0.1)
+        with pytest.raises(InvalidGramData, match="is not an integer"):
+            exact_margin(g, members)
+
+    def test_numpy_integer_members_accepted(self):
+        g = constant_offdiag(3, 0.1)
+        assert exact_margin(g, np.array([1, 3])) == exact_margin(g, [1, 3])
 
     def test_asymmetric_rows(self):
         e = np.array([[1.0, 0.8], [0.1, 1.0]])
@@ -171,3 +229,40 @@ class TestMinPartition:
             min_partition(g, -1.0)
         with pytest.raises(ValueError):
             min_partition(g, math.nan)
+
+    def test_pinned_witness_when_index_one_is_least_constrained(self):
+        # Slack (diagonal minus off-diagonal row mass) orders the indices
+        # 4, 3, 2, 5, 6, 1, so the count is proved on a permuted order; the
+        # witness is still the first paving in index order.
+        e = [[1.0, 0.1, 0.2, 0.3, 0.1, 0.0],
+             [0.1, 1.0, 0.4, 0.5, 0.2, 0.1],
+             [0.2, 0.4, 1.0, 0.6, 0.3, 0.2],
+             [0.3, 0.5, 0.6, 1.0, 0.4, 0.3],
+             [0.1, 0.2, 0.3, 0.4, 1.0, 0.2],
+             [0.0, 0.1, 0.2, 0.3, 0.2, 1.0]]
+        slack = [row[n] - (sum(row) - row[n]) for n, row in enumerate(e)]
+        assert sorted(range(1, 7), key=lambda n: slack[n - 1]) == [4, 3, 2, 5, 6, 1]
+        g = GramSystem.from_entries(e)
+        expected = {
+            1e-12: ((1, 2, 3, 5), (4, 6)),
+            0.25: ((1, 2, 3), (4, 5, 6)),
+            0.5: ((1, 2, 5), (3, 6), (4,)),
+        }
+        margins = {
+            1e-12: [0.09999999999999998, 0.7],
+            0.25: [0.39999999999999997, 0.3],
+            0.5: [0.7, 0.7999999999999999, 1.0],
+        }
+        for epsilon, classes in expected.items():
+            n, paving = min_partition(g, epsilon)
+            assert (n, paving.classes) == (len(classes), classes)
+            assert [exact_margin(g, c) for c in classes] == margins[epsilon]
+
+    @settings(max_examples=100)
+    @given(oracle_instances())
+    def test_permuted_count_keeps_the_index_order_answer(self, instance):
+        g, epsilon = instance
+        n, paving = min_partition(g, epsilon)
+        assert n == brute_force_min(g, epsilon)
+        assert (n, paving.classes) == index_order_deepening(g, epsilon)
+        assert paving.classes == brute_force_first_witness(g, epsilon, n)
