@@ -31,12 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
-
-import numpy as np
+import sys
 
 from .errors import InvalidExponent
 
-_EPS = float(np.finfo(np.float64).eps)
+_EPS = sys.float_info.epsilon  # float64's, without importing numpy
 _U = _EPS / 2.0  # unit roundoff
 
 _HEAD_TERMS = 10

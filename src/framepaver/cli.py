@@ -14,14 +14,31 @@ import json
 import math
 import sys
 
-from .constants import LocalizationConstants
-from .errors import FramePaverError, Infeasible, InvalidGramData
-from .generators import FrameSystem, frame_operator_check, power_law_gram, \
-    translate_frame_gram
-from .gram import diag_lower_bound, fit_envelope, gram_dumps, gram_from_json_dict
-from .oracle import DEFAULT_SIZE_CAP, exact_margin, min_partition
-from .partition import certificate_from_json_dict, certificate_to_json_dict, \
-    certify, choose_modulus, paving_from_json_dict, residue_partition
+from .constants import DEFAULT_SIZE_CAP, LocalizationConstants
+from .errors import FramePaverError, Infeasible, InvalidGramData, parse_json
+
+# The array-backed names the subcommands call.  Each is bound here on first
+# use (``__getattr__`` below), so ``--help`` and ``constants`` never load numpy.
+_LAZY = frozenset({
+    "FrameSystem", "frame_operator_check", "power_law_gram", "translate_frame_gram",
+    "diag_lower_bound", "fit_envelope", "gram_dumps", "gram_from_json_dict",
+    "exact_margin", "min_partition",
+    "certificate_from_json_dict", "certificate_to_json_dict", "certify",
+    "choose_modulus", "paving_from_json_dict", "residue_partition",
+})
+
+
+def __getattr__(name):
+    """Bind a name of ``_LAZY`` here, from the package, which imports its module."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals().setdefault(name, getattr(sys.modules[__package__], name))
+
+
+# This module as an object.  The subcommands read array-backed names through
+# it, so the first read imports the home module, and a name rebound on the
+# module (a wrapper, say) is the one called.
+_here = sys.modules[__name__]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -108,16 +125,13 @@ def _read_text(path: str | None) -> tuple[str, str]:
 
 def _load_json(path: str | None):
     text, label = _read_text(path)
-    try:
-        return json.loads(text), label
-    except json.JSONDecodeError as exc:
-        raise InvalidGramData(f"{label}: not valid JSON: {exc}") from None
+    return parse_json(text, label), label
 
 
 def _load_gram(path: str | None):
     payload, label = _load_json(path)
     try:
-        return gram_from_json_dict(payload), label
+        return _here.gram_from_json_dict(payload), label
     except FramePaverError as exc:
         raise InvalidGramData(f"{label}: {exc}") from None
 
@@ -146,7 +160,8 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_gen_power_law(args) -> int:
-    _write(gram_dumps(power_law_gram(args.A, args.s, args.C, args.size)), args.out)
+    g = _here.power_law_gram(args.A, args.s, args.C, args.size)
+    _write(_here.gram_dumps(g), args.out)
     return 0
 
 
@@ -155,7 +170,7 @@ def _cmd_gen_translates(args) -> int:
         window = [float(v) for v in args.window.split(",") if v.strip() != ""]
     except ValueError:
         raise ValueError(f"--window must be comma-separated numbers, got {args.window!r}")
-    _write(gram_dumps(translate_frame_gram(window, args.period)), args.out)
+    _write(_here.gram_dumps(_here.translate_frame_gram(window, args.period)), args.out)
     return 0
 
 
@@ -165,9 +180,9 @@ def _cmd_frame_check(args) -> int:
         raise InvalidGramData(f"{label}: expected an object with 'vectors'")
     vectors = payload["vectors"]
     functionals = payload.get("functionals")
-    fs = FrameSystem.self_dual(vectors) if functionals is None \
-        else FrameSystem(vectors=vectors, functionals=functionals)
-    report = frame_operator_check(fs)
+    fs = _here.FrameSystem.self_dual(vectors) if functionals is None \
+        else _here.FrameSystem(vectors=vectors, functionals=functionals)
+    report = _here.frame_operator_check(fs)
     _emit({
         "dim": report.dim,
         "count": report.count,
@@ -183,9 +198,9 @@ def _cmd_frame_check(args) -> int:
 
 def _cmd_fit(args) -> int:
     g, _ = _load_gram(args.input)
-    fit = fit_envelope(g)
+    fit = _here.fit_envelope(g)
     if args.apply:
-        _write(gram_dumps(g.with_envelope(fit.envelope)), args.apply)
+        _write(_here.gram_dumps(g.with_envelope(fit.envelope)), args.apply)
     _emit({"envelope": {"A": fit.envelope.amplitude, "s": fit.envelope.exponent},
            "objective": fit.objective}, args.out)
     return 0
@@ -193,19 +208,19 @@ def _cmd_fit(args) -> int:
 
 def _cmd_partition(args) -> int:
     g, label = _load_gram(args.input)
-    bound = diag_lower_bound(g)
+    bound = _here.diag_lower_bound(g)
     if args.modulus is not None:
         modulus = args.modulus
     elif g.envelope is not None:
-        modulus = choose_modulus(g.envelope.amplitude, g.envelope.exponent,
-                                 bound.value)
+        modulus = _here.choose_modulus(g.envelope.amplitude, g.envelope.exponent,
+                                       bound.value)
     else:
         raise InvalidGramData(
             f"{label}: no envelope attached; supply --modulus or run fit first")
     covers_naturals = g.envelope is not None and g.diag_floor is not None
-    paving = residue_partition(modulus, None if covers_naturals else g.size)
-    cert = certify(g, paving, args.epsilon)
-    _emit(certificate_to_json_dict(cert), args.out)
+    paving = _here.residue_partition(modulus, None if covers_naturals else g.size)
+    cert = _here.certify(g, paving, args.epsilon)
+    _emit(_here.certificate_to_json_dict(cert), args.out)
     return 0 if cert.passed else 2
 
 
@@ -213,25 +228,25 @@ def _cmd_certify(args) -> int:
     g, _ = _load_gram(args.input)
     payload, label = _load_json(args.paving)
     try:
-        paving = paving_from_json_dict(payload)
+        paving = _here.paving_from_json_dict(payload)
     except FramePaverError as exc:
         raise InvalidGramData(f"{label}: {exc}") from None
-    cert = certify(g, paving, args.epsilon)
-    _emit(certificate_to_json_dict(cert), args.out)
+    cert = _here.certify(g, paving, args.epsilon)
+    _emit(_here.certificate_to_json_dict(cert), args.out)
     return 0 if cert.passed else 2
 
 
 def _cmd_oracle(args) -> int:
     g, _ = _load_gram(args.input)
-    n, paving = min_partition(g, epsilon=args.epsilon, cap=args.cap)
+    n, paving = _here.min_partition(g, epsilon=args.epsilon, cap=args.cap)
     compared = None
     if g.envelope is not None and g.diag_floor is not None:
-        compared = choose_modulus(g.envelope.amplitude, g.envelope.exponent,
-                                  diag_lower_bound(g).value)
+        compared = _here.choose_modulus(g.envelope.amplitude, g.envelope.exponent,
+                                        _here.diag_lower_bound(g).value)
     _emit({
         "N": n,
         "classes": [list(c) for c in paving.classes],
-        "margins": [exact_margin(g, c) for c in paving.classes],
+        "margins": [_here.exact_margin(g, c) for c in paving.classes],
         "compared_modulus": compared,
     }, args.out)
     return 0
@@ -240,7 +255,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_report(args) -> int:
     payload, label = _load_json(args.input)
     try:
-        cert = certificate_from_json_dict(payload)
+        cert = _here.certificate_from_json_dict(payload)
     except FramePaverError as exc:
         raise InvalidGramData(f"{label}: {exc}") from None
     lines = ["paving certificate"]

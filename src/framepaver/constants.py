@@ -30,6 +30,11 @@ from .bounds import (
     shifted_power_sum,
 )
 
+# The largest instance the exact oracle searches unless told otherwise; the
+# search is exponential in the size.  It lives here, apart from the
+# numpy-backed oracle, so the CLI parser reads it without importing numpy.
+DEFAULT_SIZE_CAP = 16
+
 
 def zeta(s: float, tol: float = 1e-9) -> Interval:
     """Enclosure of the Riemann zeta function with width <= tol.

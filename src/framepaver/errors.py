@@ -1,6 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON reader that
+turns every fault of bad text into one of them."""
 
 import itertools
+import json
+import sys
 
 
 class FramePaverError(Exception):
@@ -64,3 +67,20 @@ class PavingCoverageError(FramePaverError):
                 more = f" and {count - len(shown)} more" if count > len(shown) else ""
                 parts.append(f"{label} {list(shown)}{more}")
         super().__init__("paving does not cover the range: " + "; ".join(parts))
+
+
+def parse_json(text: str, label: str | None = None):
+    """``json.loads(text)``, raising ``InvalidGramData`` for every fault of
+    the text: bad syntax, nesting deeper than the interpreter's recursion
+    limit, or an integer longer than its digit limit.  ``label`` (a file
+    name) starts the message."""
+    where = f"{label}: " if label else ""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidGramData(f"{where}not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InvalidGramData(f"{where}JSON nested too deeply to read") from None
+    except ValueError:  # the only other fault json.loads raises on a str
+        raise InvalidGramData(f"{where}an integer has more than "
+                              f"{sys.get_int_max_str_digits()} digits") from None

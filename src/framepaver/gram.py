@@ -35,6 +35,7 @@ from .errors import (
     IndexBeyondTruncation,
     InvalidExponent,
     InvalidGramData,
+    parse_json,
 )
 
 SCOPE_GLOBAL = "global"
@@ -216,7 +217,7 @@ class GramSystem:
             floor = float(self.diag_floor)
             if not (math.isfinite(floor) and floor >= 0.0):
                 raise InvalidGramData(f"diag_floor must be finite nonnegative, got {floor}")
-            low = float(self.diag().min())
+            low = float(self._stored(0).min())
             if low < floor - _FLOOR_HEADROOM:
                 raise InvalidGramData(f"diagonal dips to {low} below asserted floor {floor}")
         if self.envelope is not None:
@@ -303,16 +304,22 @@ class GramSystem:
         return np.ndarray((self._size - abs(o),), np.float64, self._data,
                           8 * self._start[i], (8 * self._step[i],))
 
+    def _stored(self, o: int) -> np.ndarray:
+        """The values band o stores: its one value at step 0, else its
+        diagonal; a reduction over them costs what is stored, not the size."""
+        i = o + self.bandwidth()
+        at = self._start[i]
+        return self._data[at:at + (self._size - abs(o) if self._step[i] else 1)]
+
     def _distance_values(self) -> np.ndarray:
-        """Largest stored modulus at each distance d = 1..size-1, at index d - 1;
-        each band reduces in one pass."""
+        """Largest stored modulus at each distance d = 1..b, at index d - 1;
+        each band reduces in one pass.  Entries past b are zero."""
         b, peak = self.bandwidth(), np.maximum.reduceat(self._data, self._start)
-        return np.concatenate((np.maximum(peak[b + 1:], peak[:b][::-1]),
-                               np.zeros(self._size - 1 - b)))
+        return np.maximum(peak[b + 1:], peak[:b][::-1])
 
     def _peak_pair(self, d: int) -> tuple[int, int]:
         """Smallest 1-based (n, m) holding the largest entry at distance d."""
-        upper, lower = self._diagonal(d), self._diagonal(-d)
+        upper, lower = self._stored(d), self._stored(-d)  # argmax of one value is row 1
         i, j = int(upper.argmax()), int(lower.argmax())  # rows i + 1 and j + 1 + d
         if upper[i] > lower[j] or (upper[i] == lower[j] and i < j + d):
             return i + 1, i + 1 + d
@@ -347,12 +354,13 @@ def certified_min_amplitude(g: GramSystem, exponent: float) -> float:
 
     Exact for the stored entries (max of entry * (1+d)**exponent over all
     off-diagonal pairs); any globally valid amplitude is at least this.
+    Distances past the bandwidth hold zeros and add nothing.
     """
     s = require_exponent(exponent)
-    if g.size == 1:
+    values = g._distance_values()
+    if values.size == 0:
         return 0.0
-    dists = np.arange(1, g.size)
-    return float(np.max(g._distance_values() * (1.0 + dists) ** s))
+    return float(np.max(values * (1.0 + np.arange(1, values.size + 1)) ** s))
 
 
 def verify_envelope(g: GramSystem, envelope: DecayEnvelope) -> EnvelopeVerdict:
@@ -363,10 +371,11 @@ def verify_envelope(g: GramSystem, envelope: DecayEnvelope) -> EnvelopeVerdict:
     whose entries equal the bound never fails on rounding noise.  On failure
     the verdict carries one violation per violating distance, in order of
     distance: the pair holding the largest entry at that distance (smallest
-    row first on ties) and its excess over the bound.
+    row first on ties) and its excess over the bound.  Distances past the
+    bandwidth hold zeros, which never violate.
     """
     values = g._distance_values()
-    bound = envelope.bound(np.arange(1, g.size, dtype=np.float64))
+    bound = envelope.bound(np.arange(1, values.size + 1, dtype=np.float64))
     violations = []
     for k in np.flatnonzero(values > bound * _ENVELOPE_UP):
         n, m = g._peak_pair(int(k) + 1)
@@ -381,7 +390,7 @@ def diag_lower_bound(g: GramSystem) -> DiagonalBound:
     n <= size, the floor beyond); without one it speaks only for the
     truncation and downstream certificates must stay truncation-scoped.
     """
-    observed = float(g.diag().min())
+    observed = float(g._stored(0).min())
     if g.diag_floor is not None:
         return DiagonalBound(min(observed, float(g.diag_floor)), SCOPE_GLOBAL)
     return DiagonalBound(observed, SCOPE_TRUNCATION)
@@ -563,8 +572,4 @@ def gram_dumps(g: GramSystem) -> str:
 
 
 def gram_loads(text: str) -> GramSystem:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidGramData(f"not valid JSON: {exc}") from None
-    return gram_from_json_dict(payload)
+    return gram_from_json_dict(parse_json(text))

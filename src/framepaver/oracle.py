@@ -14,13 +14,12 @@ from typing import Sequence
 
 import numpy as np
 
+from .constants import DEFAULT_SIZE_CAP
 from .errors import Infeasible, IndexOutOfRange, InvalidGramData
 from .gram import GramSystem
 from .partition import Paving, _explicit_margin
 
 _EPS = float(np.finfo(np.float64).eps)
-
-DEFAULT_SIZE_CAP = 16
 
 
 def exact_margin(g: GramSystem, members: Sequence[int]) -> float:

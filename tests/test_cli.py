@@ -1,3 +1,5 @@
+import importlib
+import inspect
 import io
 import json
 import math
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 import framepaver
 from framepaver import GramSystem, gram_dumps, gram_loads
+from framepaver import cli
 from framepaver.cli import dispatch
 
 
@@ -307,6 +310,22 @@ class TestUsageErrors:
     def test_malformed_inputs_exit_one(self, run, text):
         assert run(["partition"], stdin_text=text)[0] == 1
 
+    @pytest.mark.parametrize("command", ["partition", "report"])
+    @pytest.mark.parametrize("text, fault", [
+        pytest.param('{"size": 1, "entries": ' + "[" * 200_000 + "]" * 200_000 + "}",
+                     "nested too deeply", id="deep-nesting"),
+        pytest.param('{"range": %s, "classes": [[1]]}' % ("1" * 5000),
+                     "an integer has more than", id="5000-digits"),
+    ])
+    def test_hostile_json_exits_one_naming_the_file(self, run, tmp_path, command,
+                                                    text, fault):
+        path = tmp_path / "hostile.json"
+        path.write_text(text, encoding="utf-8")
+        code, _, err = run([command, "--input", str(path)])  # must not raise
+        assert code == 1
+        assert err.startswith(f"error: {path}: ") and fault in err
+        assert len(err.splitlines()) == 1
+
     @given(text=st.text(max_size=300))
     def test_arbitrary_stdin_never_panics(self, text):
         saved = sys.stdin
@@ -316,3 +335,90 @@ class TestUsageErrors:
         finally:
             sys.stdin = saved
         assert code in (0, 1, 2)
+
+
+class TestLazyImports:
+    """Subcommands import only the modules they call."""
+
+    # The names certbench's tracer wraps at framepaver.cli.
+    TRACED = ("certify", "choose_modulus", "gram_from_json_dict", "power_law_gram",
+              "paving_from_json_dict", "certificate_to_json_dict",
+              "LocalizationConstants")
+
+    @staticmethod
+    def python(code):
+        src = str(pathlib.Path(framepaver.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src),
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_help_and_constants_do_not_import_numpy(self):
+        out = self.python("""
+import contextlib, io, sys
+import framepaver.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.dispatch(["--help"]), cli.dispatch(["constants", "--s", "2"])]
+print(codes, "numpy" in sys.modules)
+""")
+        assert out == "[0, 0] False\n"
+
+    def test_star_import_binds_all_from_home_modules(self):
+        namespace = {}
+        exec("from framepaver import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == framepaver.__all__
+        assert set(framepaver.__all__) <= set(dir(framepaver))
+        for name, value in namespace.items():
+            home = importlib.import_module(f"framepaver.{framepaver._HOMES[name]}")
+            assert value is getattr(home, name) is getattr(framepaver, name)
+            if hasattr(value, "__module__"):
+                assert value.__module__ == home.__name__, name
+
+    @pytest.mark.parametrize("name", TRACED)
+    def test_traced_names_resolve_on_the_cli_module(self, name):
+        value = getattr(cli, name)
+        assert value is getattr(framepaver, name)
+        assert vars(cli)[name] is value
+
+    def test_function_set_before_dispatch_is_called(self, run, tmp_path, monkeypatch):
+        gram = tmp_path / "g.json"
+        code, _, _ = run(["gen", "power-law", "--A", "1", "--s", "2", "--C", "1",
+                          "--size", "20", "--out", str(gram)])
+        assert code == 0
+        calls = []
+        real = framepaver.certify
+
+        def wrapped(*args, **kwargs):
+            calls.append(args[1].modulus)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "certify", wrapped)
+        code, out, _ = run(["partition", "--input", str(gram)])
+        assert code == 0 and calls == [json.loads(out)["modulus"]]
+
+    def test_function_set_on_a_fresh_module_is_called(self):
+        # Set before any subcommand has read the name, as a tracer does.
+        out = self.python("""
+import contextlib, io
+import framepaver.cli as cli
+from framepaver import GramSystem
+calls = []
+def fake(*args):
+    calls.append(args)
+    return GramSystem.from_entries([[7.0]])
+cli.power_law_gram = fake
+with contextlib.redirect_stdout(io.StringIO()) as text:
+    code = cli.dispatch(["gen", "power-law", "--A", "1", "--s", "2", "--C", "3",
+                         "--size", "4"])
+print(code, calls, '"size": 1,' in text.getvalue())
+""")
+        assert out == "0 [(1.0, 2.0, 3.0, 4)] True\n"
+
+    def test_oracle_cap_default_has_one_definition(self):
+        from framepaver import constants, oracle
+        assert oracle.DEFAULT_SIZE_CAP is constants.DEFAULT_SIZE_CAP
+        assert inspect.signature(oracle.min_partition).parameters["cap"].default \
+            == constants.DEFAULT_SIZE_CAP
+        assert cli._build_parser().parse_args(["oracle"]).cap == constants.DEFAULT_SIZE_CAP

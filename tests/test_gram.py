@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from framepaver import (
     DecayEnvelope,
+    DiagonalBound,
     GramSystem,
     IndexBeyondTruncation,
     InvalidExponent,
@@ -306,6 +307,25 @@ class TestVerifyEnvelope:
         assert verify_envelope(g, DecayEnvelope(amplitude, s)).passed
 
 
+def test_one_value_bands_validate_in_stored_cost():
+    # Size 10**12 with three stored values: envelope check, floor check,
+    # diagonal bound and amplitude fit read what is stored, not the size.
+    values = np.array([0.1, 2.0, 0.1])
+    tracemalloc.start()
+    start = time.perf_counter()
+    g = GramSystem._from_bands(values, [1, 1, 1], 10**12, DecayEnvelope(0.5, 2.0), 1.5)
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert elapsed < 0.01 and peak < 1_000_000
+    assert diag_lower_bound(g) == DiagonalBound(1.5, SCOPE_GLOBAL)
+    assert certified_min_amplitude(g, 2.0) == 0.1 * 4.0
+    verdict = verify_envelope(g, DecayEnvelope(0.2, 2.0))
+    assert verdict.violations == ((1, 2, 0.1 - 0.2 / 4.0),)
+    with pytest.raises(InvalidGramData, match="dips to 2.0"):
+        GramSystem._from_bands(values, [1, 1, 1], 10**12, None, 3.0)
+
+
 class TestDiagLowerBound:
     def test_identity_gram(self):
         g = GramSystem.from_entries(np.eye(5))
@@ -498,6 +518,15 @@ class TestSerialization:
     def test_malformed_payloads_rejected(self, payload):
         with pytest.raises(InvalidGramData):
             gram_loads(payload)
+
+    @pytest.mark.parametrize("text", [
+        pytest.param('{"size": 1, "entries": ' + "[" * 200_000 + "]" * 200_000 + "}",
+                     id="deep-nesting"),
+        pytest.param('{"size": 1, "entries": [[%s]]}' % ("1" * 5000), id="5000-digits"),
+    ])
+    def test_hostile_text_is_invalid_data(self, text):
+        with pytest.raises(InvalidGramData, match="nested too deeply|more than"):
+            gram_loads(text)
 
     def test_banded_writer_reads_the_bands(self):
         g = power_law_gram(0.0, 2.0, 1.0, 3000)
