@@ -15,7 +15,7 @@ import math
 import sys
 
 from .constants import DEFAULT_SIZE_CAP, LocalizationConstants
-from .errors import FramePaverError, Infeasible, InvalidGramData, parse_json
+from .errors import FramePaverError, Infeasible, InvalidGramData, parse_json, require_int
 
 # The array-backed names the subcommands call.  Each is bound here on first
 # use (``__getattr__`` below), so ``--help`` and ``constants`` never load numpy.
@@ -280,11 +280,7 @@ def _cmd_report(args) -> int:
         opayload, olabel = _load_json(args.oracle)
         if not isinstance(opayload, dict) or "N" not in opayload:
             raise InvalidGramData(f"{olabel}: expected oracle output with 'N'")
-        n = opayload["N"]
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            shown = repr(n) if isinstance(n, (int, float)) else type(n).__name__
-            raise InvalidGramData(f"{olabel}: oracle 'N' must be an integer >= 1, "
-                                  f"got {shown}")
+        n = require_int(opayload["N"], f"{olabel}: oracle 'N'", 1)
         lines.append("theory vs oracle:")
         lines.append(f"  certified modulus: {p.modulus}")
         lines.append(f"  oracle minimum:    {n}")

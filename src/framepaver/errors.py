@@ -69,6 +69,18 @@ class PavingCoverageError(FramePaverError):
         super().__init__("paving does not cover the range: " + "; ".join(parts))
 
 
+def require_int(value, what: str, low: int, high: int | None = None) -> int:
+    """``value`` when it is a JSON integer in ``low..high`` (no upper limit
+    when ``high`` is None); otherwise ``InvalidGramData`` naming ``what`` and
+    showing the value's repr if it is a number, its type if not.  A bool is
+    not an integer here."""
+    if type(value) is not int or value < low or (high is not None and value > high):
+        shown = repr(value) if type(value) in (int, float) else type(value).__name__
+        wanted = f">= {low}" if high is None else f"in {low}..{high}"
+        raise InvalidGramData(f"{what} must be an integer {wanted}, got {shown}")
+    return value
+
+
 def parse_json(text: str, label: str | None = None):
     """``json.loads(text)``, raising ``InvalidGramData`` for every fault of
     the text: bad syntax, nesting deeper than the interpreter's recursion

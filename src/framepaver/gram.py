@@ -30,12 +30,13 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .bounds import Interval, hurwitz_zeta, require_exponent
+from .bounds import _EPS, Interval, hurwitz_zeta, require_exponent
 from .errors import (
     IndexBeyondTruncation,
     InvalidExponent,
     InvalidGramData,
     parse_json,
+    require_int,
 )
 
 SCOPE_GLOBAL = "global"
@@ -45,7 +46,7 @@ SCOPE_TRUNCATION = "truncation-only"
 # most 5u.  Scaling by 1 + 8 eps and rounding leaves at least 1 + 14u, so a
 # stored entry equal to the bound passes, and an unobserved entry charged
 # at bound * _ENVELOPE_UP is never undercharged.
-_ENVELOPE_UP = 1.0 + 8.0 * math.ulp(1.0)
+_ENVELOPE_UP = 1.0 + 8.0 * _EPS
 
 # A diagonal may dip this far below its asserted floor; sound because
 # diag_lower_bound reports min(observed, floor).
@@ -487,9 +488,7 @@ def gram_from_json_dict(payload) -> GramSystem:
     missing = {"size", "entries"} - payload.keys()
     if missing:
         raise InvalidGramData(f"gram payload lacks required keys {sorted(missing)}")
-    size = payload["size"]
-    if isinstance(size, bool) or not isinstance(size, int) or size < 1:
-        raise InvalidGramData(f"size must be a positive integer, got {size!r}")
+    size = require_int(payload["size"], "size", 1)
 
     raw = payload["entries"]
     if isinstance(raw, dict):
@@ -499,9 +498,7 @@ def gram_from_json_dict(payload) -> GramSystem:
             bands = spec["bands"]
         except (KeyError, TypeError) as exc:
             raise InvalidGramData(f"malformed banded entries: {exc!r}") from None
-        if isinstance(bandwidth, bool) or not isinstance(bandwidth, int) \
-                or not 0 <= bandwidth < size:
-            raise InvalidGramData(f"bandwidth must be an integer in 0..{size - 1}")
+        require_int(bandwidth, "bandwidth", 0, size - 1)
         if not isinstance(bands, list) or len(bands) != 2 * bandwidth + 1:
             raise InvalidGramData(
                 f"expected {2 * bandwidth + 1} bands for bandwidth {bandwidth}")

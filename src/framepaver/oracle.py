@@ -9,17 +9,13 @@ production), so instance size is capped.
 from __future__ import annotations
 
 import math
-import numbers
 from typing import Sequence
 
-import numpy as np
-
+from .bounds import _EPS
 from .constants import DEFAULT_SIZE_CAP
-from .errors import Infeasible, IndexOutOfRange, InvalidGramData
+from .errors import Infeasible, IndexOutOfRange
 from .gram import GramSystem
-from .partition import Paving, _explicit_margin
-
-_EPS = float(np.finfo(np.float64).eps)
+from .partition import Paving, _class_members, _explicit_margin
 
 
 def exact_margin(g: GramSystem, members: Sequence[int]) -> float:
@@ -28,15 +24,10 @@ def exact_margin(g: GramSystem, members: Sequence[int]) -> float:
     The result is the exact margin rounded down: the largest float at or
     below it, so ``exact_margin(g, cls) >= epsilon`` holds exactly when the
     exact margin is at least epsilon.  Negative margins are legal outputs;
-    an empty class has margin +inf (vacuous).  Members must be integers
-    (Python or numpy); a float or a bool raises ``InvalidGramData``, as in a
-    paving payload, rather than being truncated to an index.
+    an empty class has margin +inf (vacuous).  Members must be distinct
+    integers (Python or numpy); any other member raises ``InvalidGramData``.
     """
-    members = tuple(members)
-    for i in members:
-        if isinstance(i, bool) or not isinstance(i, numbers.Integral):
-            raise InvalidGramData(f"class member {i!r} is not an integer")
-    cls = sorted(set(int(i) for i in members))
+    cls = _class_members(members)
     if cls and (cls[0] < 1 or cls[-1] > g.size):
         raise IndexOutOfRange(
             f"class members must lie within the truncation 1..{g.size}")
@@ -63,7 +54,7 @@ def _dfs(g: GramSystem, rows: list[list[float]], labels: list[int], n_limit: int
     size = len(rows)
     if start == size:
         for cls in classes:
-            if _explicit_margin(g, [labels[i] for i in cls], None, None) < epsilon:
+            if _explicit_margin(g, sorted(labels[i] for i in cls), None, None) < epsilon:
                 return None
         return [list(c) for c in classes]
     row = rows[start]

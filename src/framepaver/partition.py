@@ -21,17 +21,19 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .bounds import require_exponent, shifted_power_sum
+from .bounds import _U, require_exponent, shifted_power_sum
 from .constants import separation_constant
 from .errors import (
     InvalidGramData,
     MissingEnvelope,
     PavingCoverageError,
+    require_int,
 )
 from .gram import (
     _ENVELOPE_UP,
@@ -42,6 +44,26 @@ from .gram import (
     _require_numbers,
     diag_lower_bound,
 )
+
+
+def _class_members(members) -> tuple[int, ...]:
+    """The members of one class as a sorted tuple of Python ints.
+
+    Every member must be an integer, Python or numpy, and none may repeat; a
+    float, bool, string or repeated member raises ``InvalidGramData`` naming
+    it.  Range checks are the caller's.
+    """
+    members = tuple(members)
+    if not set(map(type, members)) <= {int}:  # one C-speed pass over plain ints
+        for i in members:
+            if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+                raise InvalidGramData(f"class member {i!r} is not an integer")
+        members = tuple(map(int, members))
+    out = tuple(sorted(members))
+    if len(set(out)) < len(out):
+        repeated = next(a for a, b in zip(out, out[1:]) if a == b)
+        raise InvalidGramData(f"class member {repeated} is repeated")
+    return out
 
 
 @dataclass(frozen=True)
@@ -86,15 +108,13 @@ class Paving:
             raise ValueError(f"range end must be positive, got {self.range_end}")
         if self.classes is None:
             raise ValueError("a finite paving needs explicit classes")
-        normalized = tuple(tuple(sorted(int(i) for i in cls)) for cls in self.classes)
+        normalized = tuple(map(_class_members, self.classes))
         object.__setattr__(self, "classes", normalized)
         seen: set[int] = set()
         duplicated: set[int] = set()
-        for cls in normalized:
-            for i in cls:
-                if i in seen:
-                    duplicated.add(i)
-                seen.add(i)
+        for cls in normalized:  # members of one class are distinct
+            duplicated |= seen.intersection(cls)
+            seen.update(cls)
         # Work stays proportional to the members supplied, not to range_end.
         extra = {i for i in seen if not 1 <= i <= self.range_end}
         n_missing = self.range_end - (len(seen) - len(extra))
@@ -218,7 +238,7 @@ def _strided_candidates(g: GramSystem, members: Sequence[int], step: int) -> np.
             run = g._diagonal(q * step)[first + lo * step + min(0, q * step)::step]
             total[lo:hi] += run[:hi - lo]
     diag = g._diagonal(0)[first::step][:k]
-    nu = (2 * reach + 2) * math.ulp(0.5)
+    nu = (2 * reach + 2) * _U
     with np.errstate(over="ignore", invalid="ignore"):
         margin, err = diag - total, 2.0 * nu / (1.0 - nu) * (diag + total)
         return np.flatnonzero(~(margin - err > (margin + err).min()))
@@ -239,7 +259,8 @@ class _EnvelopeCharges(dict):
 def _explicit_margin(g: GramSystem, members: Sequence[int],
                      envelope: DecayEnvelope | None,
                      diag_floor: float | None) -> float:
-    """Largest float at or below the margin of an explicit class.
+    """Largest float at or below the margin of an explicit class, given as
+    sorted distinct indices >= 1.
 
     Each row passes to :func:`_min_margin` the stored entries of the members
     within the stored bandwidth b of it, read by :func:`_stored_windows`,
@@ -252,11 +273,8 @@ def _explicit_margin(g: GramSystem, members: Sequence[int],
     truncation costs O(k^2) time and, as the bounds kept are cleared past 2k
     distances, O(k) memory.
     """
-    members = sorted(set(int(i) for i in members))
     if not members:
         return math.inf
-    if members[0] < 1:
-        raise ValueError(f"indices are 1-based, got {members[0]}")
     k, observed = len(members), bisect.bisect_right(members, g.size)
     gaps = {b - a for a, b in zip(members, members[1:])}
     rows = range(k)
@@ -311,19 +329,17 @@ def _stored_windows(g: GramSystem, inside: np.ndarray, rows: Sequence[int]):
                     zip(ends.tolist(), n.tolist(), (sel - lo[sel]).tolist()))
 
 
-def _residue_margin(cls: ResidueClass, envelope: DecayEnvelope | None,
+def _residue_margin(modulus: int, envelope: DecayEnvelope | None,
                     diag_floor: float | None) -> float:
-    if envelope is None:
+    """The certified margin of every residue class mod ``modulus``."""
+    if envelope is None or diag_floor is None:
+        missing = "an envelope" if envelope is None else "a global diagonal floor"
         raise MissingEnvelope(
-            "certifying a residue class over all the naturals needs an envelope")
-    if diag_floor is None:
-        raise MissingEnvelope(
-            "certifying a residue class over all the naturals needs a global "
-            "diagonal floor")
+            f"certifying a residue class over all the naturals needs {missing}")
     # Distances within the class are multiples of the modulus, each hit at
     # most twice (one neighbor on each side), uniformly in the base index.
     # Entries may reach bound * _ENVELOPE_UP; each rounding is nudged safe.
-    tail = shifted_power_sum(cls.modulus, envelope.exponent)
+    tail = shifted_power_sum(modulus, envelope.exponent)
     amplitude = math.nextafter(envelope.amplitude * _ENVELOPE_UP, math.inf)
     off_hi = math.nextafter(2.0 * amplitude * tail.hi, math.inf)
     return math.nextafter(float(diag_floor) - off_hi, -math.inf)
@@ -334,13 +350,13 @@ def class_margin_lower_bound(g: GramSystem, cls,
                              diag_floor: float | None = None) -> float:
     """Certified lower bound on the margin of one class.
 
-    ``cls`` is either an explicit index sequence or a :class:`ResidueClass`
-    over all the naturals.  An explicit class takes one row step: stored
-    entries count exactly, an entry with an index past the truncation as
-    its envelope bound times (1 + 8 eps), and a diagonal past it as the
-    asserted floor; the result is the largest float at or below the margin
-    of those terms, exact for a class inside the truncation.  For a residue
-    class the bound is
+    ``cls`` is either an explicit sequence of distinct integers >= 1 or a
+    :class:`ResidueClass` over all the naturals.  An explicit class takes
+    one row step: stored entries count exactly, an entry with an index past
+    the truncation as its envelope bound times (1 + 8 eps), and a diagonal
+    past it as the asserted floor; the result is the largest float at or
+    below the margin of those terms, exact for a class inside the
+    truncation.  For a residue class the bound is
 
         diag_floor - 2*amplitude*(1 + 8 eps)*sum_{k>=1} (1 + k*modulus)**(-exponent)
 
@@ -349,8 +365,11 @@ def class_margin_lower_bound(g: GramSystem, cls,
     certification).
     """
     if isinstance(cls, ResidueClass):
-        return _residue_margin(cls, envelope, diag_floor)
-    return _explicit_margin(g, cls, envelope, diag_floor)
+        return _residue_margin(cls.modulus, envelope, diag_floor)
+    members = _class_members(cls)
+    if members and members[0] < 1:
+        raise ValueError(f"indices are 1-based, got {members[0]}")
+    return _explicit_margin(g, members, envelope, diag_floor)
 
 
 @dataclass(frozen=True)
@@ -404,13 +423,8 @@ def certify(g: GramSystem, paving: Paving, epsilon: float | None = None) -> ARSC
         raise ValueError(f"epsilon must be finite nonnegative, got {epsilon}")
 
     if paving.range_end is None:
-        if g.envelope is None or g.diag_floor is None:
-            raise MissingEnvelope(
-                "a paving of the naturals can only be certified when the system "
-                "asserts both an envelope and a global diagonal floor")
-        margin = _residue_margin(ResidueClass(1, paving.modulus), g.envelope,
-                                 bound.value)
-        margins = (margin,) * paving.modulus
+        floor = bound.value if bound.scope == SCOPE_GLOBAL else None
+        margins = (_residue_margin(paving.modulus, g.envelope, floor),) * paving.modulus
         scope = SCOPE_GLOBAL
     else:
         if paving.range_end < g.size:
@@ -442,22 +456,12 @@ def paving_from_json_dict(payload) -> Paving:
     rng = payload.get("range")
     modulus = payload.get("modulus")
     classes = payload.get("classes")
-    if modulus is not None and (isinstance(modulus, bool) or not isinstance(modulus, int)):
-        raise InvalidGramData(f"modulus must be an integer, got {modulus!r}")
-    if rng == "naturals":
-        range_end = None
-    elif isinstance(rng, int) and not isinstance(rng, bool):
-        range_end = rng
-    else:
-        raise InvalidGramData(f"range must be a positive integer or 'naturals', got {rng!r}")
+    if modulus is not None:
+        require_int(modulus, "modulus", 1)
+    range_end = None if rng == "naturals" else require_int(rng, "range other than 'naturals'", 1)
     if classes is not None:
         if not isinstance(classes, list) or not all(isinstance(c, list) for c in classes):
             raise InvalidGramData("classes must be a list of index lists")
-        for c in classes:
-            for i in c:
-                if isinstance(i, bool) or not isinstance(i, int):
-                    raise InvalidGramData(f"class member {i!r} is not an integer")
-        classes = tuple(tuple(c) for c in classes)
     try:
         return Paving(classes=classes, modulus=modulus, range_end=range_end)
     except ValueError as exc:

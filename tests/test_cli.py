@@ -265,6 +265,40 @@ class TestReportCommand:
         assert "'N' must be an integer" in err
 
 
+# Each JSON integer field, the value just below its range, and the name its
+# error gives it.
+_INTEGER_FIELDS = {"size": (0, "size"), "bandwidth": (-1, "bandwidth"),
+                   "modulus": (0, "modulus"), "range": (0, "range other than 'naturals'"),
+                   "N": (0, "oracle 'N'")}
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize("field,value", [
+        (field, value) for field, (low, _) in _INTEGER_FIELDS.items()
+        for value in (True, 2.5, "3", low)])
+    def test_field_must_be_an_integer_in_range(self, run, tmp_path, monkeypatch, field,
+                                               value):
+        gram = {"size": 1, "entries": [[1.0]]}
+        paving = {"range": 1, "modulus": None, "classes": [[1]]}
+        oracle = {"N": 1}
+        if field == "bandwidth":
+            gram["entries"] = {"banded": {"bandwidth": value, "bands": [[1.0]]}}
+        else:
+            {"size": gram, "modulus": paving, "range": paving, "N": oracle}[field][field] = value
+        cert = {"range": 1, "classes": {"kind": "explicit", "classes": [[1]]},
+                "margins": [1.0], "epsilon": 0.5, "scope": "truncation-only",
+                "verdict": "PASS"}
+        monkeypatch.chdir(tmp_path)
+        for name, payload in (("gram", gram), ("paving", paving), ("cert", cert),
+                              ("oracle", oracle)):
+            pathlib.Path(f"{name}.json").write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run(["report", "--input", "cert.json", "--oracle", "oracle.json"]
+                             if field == "N" else
+                             ["certify", "--input", "gram.json", "--paving", "paving.json"])
+        assert (code, out) == (1, "")
+        assert f"{_INTEGER_FIELDS[field][1]} must be an integer" in err, err
+
+
 class TestFitCommand:
     def test_fit_and_apply(self, run, tmp_path):
         _, gram_text, _ = run(["gen", "translates", "--window", "1,0.5,0.25",

@@ -11,6 +11,8 @@ from framepaver import (
     Infeasible,
     IndexOutOfRange,
     InvalidGramData,
+    Paving,
+    class_margin_lower_bound,
     exact_margin,
     min_partition,
     power_law_gram,
@@ -22,6 +24,15 @@ def constant_offdiag(size, off, diag=1.0):
     e = np.full((size, size), off)
     np.fill_diagonal(e, diag)
     return GramSystem.from_entries(e)
+
+
+def each_class_caller(members):
+    """Calls that put ``members`` through the class rule: exact_margin,
+    class_margin_lower_bound and a Paving of 1..3."""
+    g = constant_offdiag(3, 0.1)
+    return (lambda: exact_margin(g, members),
+            lambda: class_margin_lower_bound(g, members),
+            lambda: Paving(classes=(members,), modulus=None, range_end=3))
 
 
 def all_partitions(n):
@@ -134,13 +145,24 @@ class TestExactMargin:
                                          ["1"]])
     def test_non_integer_members_rejected(self, members):
         # 1.9 used to be truncated to index 1 and True read as index 1
-        g = constant_offdiag(3, 0.1)
-        with pytest.raises(InvalidGramData, match="is not an integer"):
-            exact_margin(g, members)
+        for call in each_class_caller(members):
+            with pytest.raises(InvalidGramData, match="is not an integer"):
+                call()
+
+    @pytest.mark.parametrize("members", [[2, 2], [3, 1, 3], [np.int64(1), 1]])
+    def test_repeated_members_rejected(self, members):
+        # exact_margin and class_margin_lower_bound used to collapse repeats
+        for call in each_class_caller(members):
+            with pytest.raises(InvalidGramData, match="is repeated"):
+                call()
 
     def test_numpy_integer_members_accepted(self):
         g = constant_offdiag(3, 0.1)
         assert exact_margin(g, np.array([1, 3])) == exact_margin(g, [1, 3])
+        assert class_margin_lower_bound(g, np.array([3, 1])) == exact_margin(g, [1, 3])
+        p = Paving(classes=(np.array([3, 1]), [np.int64(2)]), modulus=None, range_end=3)
+        assert p.classes == ((1, 3), (2,))
+        assert {type(i) for cls in p.classes for i in cls} == {int}
 
     def test_asymmetric_rows(self):
         e = np.array([[1.0, 0.8], [0.1, 1.0]])
