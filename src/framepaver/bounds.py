@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import math
 import sys
 
-from .errors import InvalidExponent
+from .errors import InvalidExponent, InvalidGramData, require_real
 
 _EPS = sys.float_info.epsilon  # float64's, without importing numpy
 _U = _EPS / 2.0  # unit roundoff
@@ -85,10 +85,12 @@ class Interval:
 
 
 def require_exponent(s: float) -> float:
-    s = float(s)
-    if not math.isfinite(s) or s <= 1.0:
-        raise InvalidExponent(f"decay exponent must satisfy s > 1, got {s}")
-    return s
+    """``s`` as a Python float under the real-number rule, with s > 1;
+    otherwise ``InvalidExponent``."""
+    try:
+        return require_real(s, "decay exponent s", 1, strict=True)
+    except InvalidGramData as exc:
+        raise InvalidExponent(str(exc)) from None
 
 
 def _power_series(s: float, c: float, h: float) -> Interval:
@@ -155,9 +157,7 @@ def hurwitz_zeta(s: float, a: float) -> Interval:
     a below 2**53 with s > 2**40 (its rounded bases cannot be bounded).
     """
     s = require_exponent(s)
-    a = float(a)
-    if not (math.isfinite(a) and a > 0.0):
-        raise ValueError(f"Hurwitz zeta needs a finite a > 0, got {a}")
+    a = require_real(a, "Hurwitz zeta a", 0, strict=True)
     return _power_series(s, a, 1.0)
 
 
@@ -171,9 +171,7 @@ def shifted_power_sum(step: float, s: float) -> Interval:
     below 2**53).  The width is a few ulps of the value.
     """
     s = require_exponent(s)
-    step = float(step)
-    if not (math.isfinite(step) and step >= 1.0):
-        raise ValueError(f"separation step must be at least 1, got {step}")
+    step = require_real(step, "separation step", 1)
     if math.fsum((1.0, step, -(1.0 + step))) != 0.0:
         raise ValueError(f"separation step {step} is too fine: 1 + step rounds")
     return _power_series(s, 1.0 + step, step)

@@ -17,22 +17,15 @@ import sys
 from .constants import DEFAULT_SIZE_CAP, LocalizationConstants
 from .errors import FramePaverError, Infeasible, InvalidGramData, parse_json, require_int
 
-# The array-backed names the subcommands call.  Each is bound here on first
-# use (``__getattr__`` below), so ``--help`` and ``constants`` never load numpy.
-_LAZY = frozenset({
-    "FrameSystem", "frame_operator_check", "power_law_gram", "translate_frame_gram",
-    "diag_lower_bound", "fit_envelope", "gram_dumps", "gram_from_json_dict",
-    "exact_margin", "min_partition",
-    "certificate_from_json_dict", "certificate_to_json_dict", "certify",
-    "choose_modulus", "paving_from_json_dict", "residue_partition",
-})
-
-
+# The array-backed names the subcommands call are the package's public names
+# (``framepaver._HOMES``).  Each is bound here on first use (``__getattr__``
+# below), so ``--help`` and ``constants`` never load numpy.
 def __getattr__(name):
-    """Bind a name of ``_LAZY`` here, from the package, which imports its module."""
-    if name not in _LAZY:
+    """Bind a public name of the package here, which imports its home module."""
+    package = sys.modules[__package__]
+    if name not in package._HOMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return globals().setdefault(name, getattr(sys.modules[__package__], name))
+    return globals().setdefault(name, getattr(package, name))
 
 
 # This module as an object.  The subcommands read array-backed names through

@@ -29,6 +29,7 @@ from .bounds import (
     require_exponent,
     shifted_power_sum,
 )
+from .errors import require_int, require_real
 
 # The largest instance the exact oracle searches unless told otherwise; the
 # search is exponential in the size.  It lives here, apart from the
@@ -44,8 +45,7 @@ def zeta(s: float, tol: float = 1e-9) -> Interval:
     is below that resolution.
     """
     s = require_exponent(s)
-    if not (tol > 0.0):
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    tol = require_real(tol, "tolerance", 0, strict=True)
     enc = hurwitz_zeta(s, 1.0)
     if enc.width > tol:
         raise ValueError(
@@ -109,13 +109,8 @@ def verify_separation_bound(s: float, delta_max: int, trunc: int) -> SeparationV
     only; the enclosure needs no truncation.
     """
     s = require_exponent(s)
-    delta_max = int(delta_max)
-    trunc = int(trunc)
-    if delta_max < 1:
-        raise ValueError(f"delta_max must be >= 1, got {delta_max}")
-    if trunc < 10 * delta_max:
-        raise ValueError(f"truncation {trunc} is too short for delta_max {delta_max}; "
-                         f"need at least {10 * delta_max}")
+    delta_max = require_int(delta_max, "delta_max", 1)
+    require_int(trunc, f"truncation for delta_max {delta_max}", 10 * delta_max)
     kappa = separation_constant(s)
 
     def check(delta: int) -> SeparationCheck:

@@ -3,6 +3,8 @@ turns every fault of bad text into one of them."""
 
 import itertools
 import json
+import math
+import numbers
 import sys
 
 
@@ -38,8 +40,9 @@ class DimensionMismatch(FramePaverError):
     """Frame vectors and functionals do not share a common dimension."""
 
 
-class InvalidGramData(FramePaverError):
-    """A serialized payload failed schema or invariant validation."""
+class InvalidGramData(FramePaverError, ValueError):
+    """A serialized payload or an argument failed schema or invariant
+    validation.  It is a ``ValueError`` too, as ``json.JSONDecodeError`` is."""
 
 
 class PavingCoverageError(FramePaverError):
@@ -69,16 +72,42 @@ class PavingCoverageError(FramePaverError):
         super().__init__("paving does not cover the range: " + "; ".join(parts))
 
 
-def require_int(value, what: str, low: int, high: int | None = None) -> int:
-    """``value`` when it is a JSON integer in ``low..high`` (no upper limit
-    when ``high`` is None); otherwise ``InvalidGramData`` naming ``what`` and
-    showing the value's repr if it is a number, its type if not.  A bool is
-    not an integer here."""
-    if type(value) is not int or value < low or (high is not None and value > high):
-        shown = repr(value) if type(value) in (int, float) else type(value).__name__
-        wanted = f">= {low}" if high is None else f"in {low}..{high}"
-        raise InvalidGramData(f"{what} must be an integer {wanted}, got {shown}")
-    return value
+def is_integer(value) -> bool:
+    """The integer rule: a Python or numpy integer, never a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _shown(value) -> str:
+    """A number's text, any other value's type name."""
+    return str(value) if isinstance(value, numbers.Number) and not isinstance(value, bool) \
+        else type(value).__name__
+
+
+def require_int(value, what: str, low: int | None, high: int | None = None) -> int:
+    """``value`` as a Python int when it obeys the integer rule and lies in
+    ``low..high`` (no upper limit when ``high`` is None, no range at all when
+    ``low`` is None); otherwise ``InvalidGramData`` naming ``what``."""
+    if is_integer(value):
+        value = int(value)
+        if low is None or (value >= low and (high is None or value <= high)):
+            return value
+    wanted = "" if low is None else f" >= {low}" if high is None else f" in {low}..{high}"
+    raise InvalidGramData(f"{what} must be an integer{wanted}, got {_shown(value)}")
+
+
+def require_real(value, what: str, low: float, *, strict: bool = False) -> float:
+    """``value`` as a Python float when it is a finite real, Python or numpy
+    but never a bool or a string, at least ``low`` (above it when
+    ``strict``); otherwise ``InvalidGramData`` naming ``what``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            out = float(value)
+        except OverflowError:
+            raise InvalidGramData(f"{what} is an integer too large for float64") from None
+        if math.isfinite(out) and (out > low if strict else out >= low):
+            return out
+    raise InvalidGramData(f"{what} must be a finite real number {'>' if strict else '>='} "
+                          f"{low}, got {_shown(value)}")
 
 
 def parse_json(text: str, label: str | None = None):

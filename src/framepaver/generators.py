@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import require_exponent
-from .errors import DimensionMismatch, WindowTooLong
+from .errors import DimensionMismatch, WindowTooLong, require_int, require_real
 from .gram import DecayEnvelope, GramSystem
 
 
@@ -27,15 +27,9 @@ def power_law_gram(amplitude: float, exponent: float, diag: float,
     the whole index set are honest for this family.
     """
     s = require_exponent(exponent)
-    amplitude = float(amplitude)
-    diag = float(diag)
-    size = int(size)
-    if amplitude < 0.0:
-        raise ValueError(f"amplitude must be nonnegative, got {amplitude}")
-    if diag <= 0.0:
-        raise ValueError(f"diagonal value must be positive, got {diag}")
-    if size < 1:
-        raise ValueError(f"size must be positive, got {size}")
+    amplitude = require_real(amplitude, "amplitude", 0)
+    diag = require_real(diag, "diagonal value", 0, strict=True)
+    size = require_int(size, "size", 1)
     profile = np.empty(size)
     profile[0] = diag
     if size > 1:
@@ -55,9 +49,7 @@ def translate_frame_gram(window, period: int) -> GramSystem:
     fit their own model if they want one.
     """
     w = np.asarray(window, dtype=np.float64)
-    period = int(period)
-    if period < 1:
-        raise ValueError(f"period must be positive, got {period}")
+    period = require_int(period, "period", 1)
     if w.ndim != 1 or w.size < 1:
         raise ValueError("window must be a nonempty vector")
     if w.size > period:
@@ -67,8 +59,11 @@ def translate_frame_gram(window, period: int) -> GramSystem:
         raise ValueError("window values must be finite and nonnegative")
     padded = np.zeros(period)
     padded[: w.size] = w
-    profile = np.array([float(padded @ np.roll(padded, -d))
-                        for d in range(period // 2 + 1)])
+    # The window meets its shift by d only at d < len(w) or d > period - len(w);
+    # elsewhere every product is 0*x with x >= 0, so the profile is exactly +0.0.
+    profile = np.zeros(period // 2 + 1)
+    for d in {*range(min(w.size, profile.size)), *range(period - w.size + 1, profile.size)}:
+        profile[d] = padded @ np.roll(padded, -d)
     return GramSystem.from_cyclic_profile(profile, period)
 
 

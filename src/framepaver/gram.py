@@ -23,7 +23,6 @@ system survives a round trip through the wire format unchanged.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -37,6 +36,7 @@ from .errors import (
     InvalidGramData,
     parse_json,
     require_int,
+    require_real,
 )
 
 SCOPE_GLOBAL = "global"
@@ -61,9 +61,9 @@ class DecayEnvelope:
     exponent: float
 
     def __post_init__(self):
-        require_exponent(self.exponent)
-        if not (math.isfinite(self.amplitude) and self.amplitude > 0.0):
-            raise ValueError(f"envelope amplitude must be positive, got {self.amplitude}")
+        object.__setattr__(self, "exponent", require_exponent(self.exponent))
+        object.__setattr__(self, "amplitude",
+                           require_real(self.amplitude, "envelope amplitude", 0, strict=True))
 
     def bound(self, distance) -> float:
         """Envelope value at an index distance >= 1 (vectorizes over arrays)."""
@@ -133,7 +133,8 @@ class GramSystem:
         self._step = step
         self._size = size
         self.envelope = envelope
-        self.diag_floor = diag_floor
+        self.diag_floor = diag_floor if diag_floor is None \
+            else require_real(diag_floor, "diag_floor", 0)
         self._validate()
 
     # -- constructors ------------------------------------------------------
@@ -172,8 +173,8 @@ class GramSystem:
         system stores the distance profile it implies.
         """
         prof = np.asarray(profile, dtype=np.float64)
-        size = int(size)
-        if size < 1 or prof.ndim != 1 or prof.size != size // 2 + 1:
+        size = require_int(size, "size", 1)
+        if prof.ndim != 1 or prof.size != size // 2 + 1:
             raise InvalidGramData(
                 f"cyclic profile must have length {size // 2 + 1} for size {size}")
         d = np.arange(size)
@@ -215,12 +216,10 @@ class GramSystem:
         if self.envelope is not None and not isinstance(self.envelope, DecayEnvelope):
             raise InvalidGramData("envelope must be a DecayEnvelope")
         if self.diag_floor is not None:
-            floor = float(self.diag_floor)
-            if not (math.isfinite(floor) and floor >= 0.0):
-                raise InvalidGramData(f"diag_floor must be finite nonnegative, got {floor}")
             low = float(self._stored(0).min())
-            if low < floor - _FLOOR_HEADROOM:
-                raise InvalidGramData(f"diagonal dips to {low} below asserted floor {floor}")
+            if low < self.diag_floor - _FLOOR_HEADROOM:
+                raise InvalidGramData(
+                    f"diagonal dips to {low} below asserted floor {self.diag_floor}")
         if self.envelope is not None:
             verdict = verify_envelope(self, self.envelope)
             if not verdict.passed:
@@ -237,6 +236,7 @@ class GramSystem:
 
     def entry(self, n: int, m: int) -> float:
         """Stored modulus at 1-based indices within the truncation."""
+        n, m = require_int(n, "index n", None), require_int(m, "index m", None)
         if not (1 <= n <= self._size and 1 <= m <= self._size):
             raise IndexBeyondTruncation(
                 f"entry ({n}, {m}) is outside the stored truncation 1..{self._size}")
@@ -262,7 +262,7 @@ class GramSystem:
 
     def submatrix(self, indices: Iterable[int]) -> np.ndarray:
         """Principal submatrix at the given 1-based indices (given order)."""
-        pos = np.asarray(list(indices), dtype=np.int64)
+        pos = np.asarray([require_int(i, "index", None) for i in indices], dtype=np.int64)
         if pos.size and (pos.min() < 1 or pos.max() > self._size):
             raise IndexBeyondTruncation(
                 f"indices must lie in 1..{self._size}")
@@ -334,9 +334,7 @@ def entry_bound(g: GramSystem, n: int, m: int) -> Interval:
     point.  Beyond it only the envelope speaks, and only off the diagonal:
     the tail model never bounds |f_n(tau_n)| from above.
     """
-    n, m = int(n), int(m)
-    if n < 1 or m < 1:
-        raise ValueError(f"indices are 1-based, got ({n}, {m})")
+    n, m = require_int(n, "index n", 1), require_int(m, "index m", 1)
     if n <= g.size and m <= g.size:
         v = g.entry(n, m)
         return Interval(v, v)
@@ -393,7 +391,7 @@ def diag_lower_bound(g: GramSystem) -> DiagonalBound:
     """
     observed = float(g._stored(0).min())
     if g.diag_floor is not None:
-        return DiagonalBound(min(observed, float(g.diag_floor)), SCOPE_GLOBAL)
+        return DiagonalBound(min(observed, g.diag_floor), SCOPE_GLOBAL)
     return DiagonalBound(observed, SCOPE_TRUNCATION)
 
 
@@ -455,7 +453,7 @@ def gram_to_json_dict(g: GramSystem) -> dict:
         "size": t,
         "entries": entries,
         "envelope": envelope,
-        "diag_floor": None if g.diag_floor is None else float(g.diag_floor),
+        "diag_floor": g.diag_floor,
     }
 
 
@@ -519,17 +517,11 @@ def gram_from_json_dict(payload) -> GramSystem:
     if env_raw is not None:
         if not isinstance(env_raw, dict) or set(env_raw) - {"A", "s"}:
             raise InvalidGramData(f"envelope must be {{'A':..., 's':...}}, got {env_raw!r}")
-        amplitude, exponent = _require_numbers(
-            [env_raw.get("A"), env_raw.get("s")], 2, "envelope A and s").tolist()
         try:
-            envelope = DecayEnvelope(amplitude, exponent)
-        except (ValueError, InvalidExponent) as exc:
+            envelope = DecayEnvelope(env_raw.get("A"), env_raw.get("s"))
+        except InvalidExponent as exc:
             raise InvalidGramData(f"invalid envelope: {exc}") from None
-
-    floor_raw = payload.get("diag_floor")
-    floor = None if floor_raw is None \
-        else _require_numbers([floor_raw], 1, "diag_floor").tolist()[0]
-    return GramSystem._from_bands(values, lengths, size, envelope, floor)
+    return GramSystem._from_bands(values, lengths, size, envelope, payload.get("diag_floor"))
 
 
 def gram_dumps(g: GramSystem) -> str:
@@ -557,10 +549,9 @@ def gram_dumps(g: GramSystem) -> str:
         sep, gap, close = ",\n      ", "\n    ],\n    [\n      ", "\n    ]\n  ]"
         cols = np.arange(n)
         rows = (g._positions(r, cols) for r in range(n))
-    envelope = "null" if g.envelope is None else '{\n    "A": %s,\n    "s": %s\n  }' % (
-        json.dumps(g.envelope.amplitude, allow_nan=False),
-        json.dumps(g.envelope.exponent, allow_nan=False))
-    floor = "null" if g.diag_floor is None else float.__repr__(float(g.diag_floor))
+    envelope = "null" if g.envelope is None else '{\n    "A": %r,\n    "s": %r\n  }' % (
+        g.envelope.amplitude, g.envelope.exponent)
+    floor = "null" if g.diag_floor is None else repr(g.diag_floor)
     pieces = [head]
     for at in rows:
         pieces += (sep.join(text[at].tolist()), gap)

@@ -8,12 +8,11 @@ production), so instance size is capped.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 from .bounds import _EPS
 from .constants import DEFAULT_SIZE_CAP
-from .errors import Infeasible, IndexOutOfRange
+from .errors import Infeasible, IndexOutOfRange, require_int, require_real
 from .gram import GramSystem
 from .partition import Paving, _class_members, _explicit_margin
 
@@ -112,10 +111,9 @@ def min_partition(g: GramSystem, epsilon: float = 1e-12,
     is where an index-order deepening spends most of its time.
     """
     size = g.size
-    if size > cap:
+    if size > require_int(cap, "cap", 1):
         raise ValueError(f"instance size {size} exceeds the search cap {cap}")
-    if epsilon < 0.0 or not math.isfinite(epsilon):
-        raise ValueError(f"epsilon must be finite nonnegative, got {epsilon}")
+    epsilon = require_real(epsilon, "epsilon", 0)
     G = g.dense()
     low_diag = [n + 1 for n in range(size) if G[n, n] < epsilon]
     if low_diag:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,7 +32,9 @@ from .errors import (
     InvalidGramData,
     MissingEnvelope,
     PavingCoverageError,
+    is_integer,
     require_int,
+    require_real,
 )
 from .gram import (
     _ENVELOPE_UP,
@@ -49,14 +50,14 @@ from .gram import (
 def _class_members(members) -> tuple[int, ...]:
     """The members of one class as a sorted tuple of Python ints.
 
-    Every member must be an integer, Python or numpy, and none may repeat; a
-    float, bool, string or repeated member raises ``InvalidGramData`` naming
-    it.  Range checks are the caller's.
+    Every member must obey the integer rule (:func:`errors.is_integer`) and
+    none may repeat; a float, bool, string or repeated member raises
+    ``InvalidGramData`` naming it.  Range checks are the caller's.
     """
     members = tuple(members)
     if not set(map(type, members)) <= {int}:  # one C-speed pass over plain ints
         for i in members:
-            if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+            if not is_integer(i):
                 raise InvalidGramData(f"class member {i!r} is not an integer")
         members = tuple(map(int, members))
     out = tuple(sorted(members))
@@ -74,10 +75,8 @@ class ResidueClass:
     modulus: int
 
     def __post_init__(self):
-        if self.modulus < 1 or not 1 <= self.offset <= self.modulus:
-            raise ValueError(
-                f"need 1 <= offset <= modulus, got offset={self.offset}, "
-                f"modulus={self.modulus}")
+        object.__setattr__(self, "modulus", require_int(self.modulus, "modulus", 1))
+        object.__setattr__(self, "offset", require_int(self.offset, "offset", 1, self.modulus))
 
 
 @dataclass(frozen=True)
@@ -96,16 +95,15 @@ class Paving:
     range_end: int | None
 
     def __post_init__(self):
-        if self.modulus is not None and self.modulus < 1:
-            raise ValueError(f"modulus must be positive, got {self.modulus}")
+        if self.modulus is not None:
+            object.__setattr__(self, "modulus", require_int(self.modulus, "modulus", 1))
         if self.range_end is None:
             if self.modulus is None:
                 raise ValueError("a paving of the naturals needs a modulus")
             if self.classes is not None:
                 raise ValueError("a paving of the naturals keeps classes symbolic")
             return
-        if self.range_end < 1:
-            raise ValueError(f"range end must be positive, got {self.range_end}")
+        object.__setattr__(self, "range_end", require_int(self.range_end, "range end", 1))
         if self.classes is None:
             raise ValueError("a finite paving needs explicit classes")
         normalized = tuple(map(_class_members, self.classes))
@@ -155,12 +153,10 @@ def residue_partition(modulus: int, range_end: int | None = None) -> Paving:
     otherwise classes are materialized over ``1..range_end``.  Within every
     class consecutive members differ by exactly the modulus.
     """
-    modulus = int(modulus)
-    if modulus < 1:
-        raise ValueError(f"modulus must be positive, got {modulus}")
+    modulus = require_int(modulus, "modulus", 1)
     if range_end is None:
         return Paving(classes=None, modulus=modulus, range_end=None)
-    range_end = int(range_end)
+    range_end = require_int(range_end, "range end", 1)
     classes = tuple(tuple(range(j, range_end + 1, modulus))
                     for j in range(1, modulus + 1))
     return Paving(classes=classes, modulus=modulus, range_end=range_end)
@@ -175,12 +171,8 @@ def choose_modulus(amplitude: float, exponent: float, diag_floor: float) -> int:
     equality counts as satisfied.
     """
     s = require_exponent(exponent)
-    amplitude = float(amplitude)
-    diag_floor = float(diag_floor)
-    if amplitude < 0.0 or not math.isfinite(amplitude):
-        raise ValueError(f"amplitude must be finite nonnegative, got {amplitude}")
-    if diag_floor <= 0.0 or not math.isfinite(diag_floor):
-        raise ValueError(f"diagonal floor must be positive, got {diag_floor}")
+    amplitude = require_real(amplitude, "amplitude", 0)
+    diag_floor = require_real(diag_floor, "diagonal floor", 0, strict=True)
     if amplitude == 0.0:
         return 1
     kappa = separation_constant(s)
@@ -294,7 +286,7 @@ def _explicit_margin(g: GramSystem, members: Sequence[int],
             charges.clear()
         if i >= observed:
             row = list(map(charges.__getitem__, np.abs(pos - pos[i]).tolist()))
-            row[i] = float(diag_floor)
+            row[i] = diag_floor
             return row, i
         row, at = next(windows)
         if observed < k:
@@ -342,7 +334,7 @@ def _residue_margin(modulus: int, envelope: DecayEnvelope | None,
     tail = shifted_power_sum(modulus, envelope.exponent)
     amplitude = math.nextafter(envelope.amplitude * _ENVELOPE_UP, math.inf)
     off_hi = math.nextafter(2.0 * amplitude * tail.hi, math.inf)
-    return math.nextafter(float(diag_floor) - off_hi, -math.inf)
+    return math.nextafter(diag_floor - off_hi, -math.inf)
 
 
 def class_margin_lower_bound(g: GramSystem, cls,
@@ -364,6 +356,8 @@ def class_margin_lower_bound(g: GramSystem, cls,
     is uniform over the class.  Negative results are legal (they simply fail
     certification).
     """
+    if diag_floor is not None:
+        diag_floor = require_real(diag_floor, "diag_floor", 0)
     if isinstance(cls, ResidueClass):
         return _residue_margin(cls.modulus, envelope, diag_floor)
     members = _class_members(cls)
@@ -389,6 +383,7 @@ class ARSCertificate:
     verdict: str
 
     def __post_init__(self):
+        object.__setattr__(self, "epsilon", require_real(self.epsilon, "epsilon", 0))
         expected = "PASS" if all(m >= self.epsilon for m in self.per_class_margin) \
             else "FAIL"
         if self.verdict != expected:
@@ -416,11 +411,7 @@ def certify(g: GramSystem, paving: Paving, epsilon: float | None = None) -> ARSC
     floor; a finite paving certifies the truncation only.
     """
     bound = diag_lower_bound(g)
-    if epsilon is None:
-        epsilon = bound.value / 2.0
-    epsilon = float(epsilon)
-    if epsilon < 0.0 or not math.isfinite(epsilon):
-        raise ValueError(f"epsilon must be finite nonnegative, got {epsilon}")
+    epsilon = require_real(bound.value / 2.0 if epsilon is None else epsilon, "epsilon", 0)
 
     if paving.range_end is None:
         floor = bound.value if bound.scope == SCOPE_GLOBAL else None
@@ -456,8 +447,6 @@ def paving_from_json_dict(payload) -> Paving:
     rng = payload.get("range")
     modulus = payload.get("modulus")
     classes = payload.get("classes")
-    if modulus is not None:
-        require_int(modulus, "modulus", 1)
     range_end = None if rng == "naturals" else require_int(rng, "range other than 'naturals'", 1)
     if classes is not None:
         if not isinstance(classes, list) or not all(isinstance(c, list) for c in classes):
@@ -516,7 +505,6 @@ def certificate_from_json_dict(payload) -> ARSCertificate:
            for j, m in enumerate(margins)):
         raise InvalidGramData("only the margin of an empty class may be null")
     loaded = tuple(math.inf if m is None else x for m, x in zip(margins, numbers))
-    epsilon = _require_numbers([epsilon], 1, "epsilon").tolist()[0]
     try:
         return ARSCertificate(paving=paving, per_class_margin=loaded,
                               epsilon=epsilon, scope=str(scope),

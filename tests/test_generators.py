@@ -112,6 +112,20 @@ class TestTranslateFrameGram:
             for m in range(7):
                 assert dense[n, m] == dense[(n + 1) % 7, (m + 1) % 7]
 
+    @pytest.mark.parametrize("period", [1, 2, 3, 5, 8, 13, 40])
+    def test_profile_matches_autocorrelation_at_every_lag(self, period):
+        # Only the lags where the window meets its shift are computed; the
+        # others must still come out as the +0.0 the full formula gives.
+        rng = np.random.default_rng(period)
+        for length in range(1, min(period, 6) + 1):
+            w = rng.uniform(0.0, 1.0, length) * (rng.uniform(size=length) < 0.8)
+            padded = np.zeros(period)
+            padded[:length] = w
+            every_lag = [float(padded @ np.roll(padded, -d)) for d in range(period // 2 + 1)]
+            expected = GramSystem.from_cyclic_profile(every_lag, period)
+            assert translate_frame_gram(w, period).dense().tobytes() \
+                == expected.dense().tobytes()
+
     def test_window_too_long(self):
         with pytest.raises(WindowTooLong):
             translate_frame_gram([1.0, 1.0, 1.0], 2)
