@@ -98,19 +98,17 @@ class SeparationVerdict:
     checks: tuple[SeparationCheck, ...]
 
 
-def verify_separation_bound(s: float, delta_max: int, trunc: int) -> SeparationVerdict:
+def verify_separation_bound(s: float, delta_max: int) -> SeparationVerdict:
     """Stress-test the separated-row-mass bound on worst-case progressions.
 
     For each gap delta, the extremal delta-separated set is an arithmetic
     progression of step delta; the supremal one-row off-diagonal mass over
     its bi-infinite extension is ``2 * sum_{k>=1} (1 + k*delta)**(-s)``,
     measured as twice the upper end of :func:`shifted_power_sum` and compared
-    against ``separation_constant(s) / delta**s``.  ``trunc`` is validated
-    only; the enclosure needs no truncation.
+    against ``separation_constant(s) / delta**s``.
     """
     s = require_exponent(s)
     delta_max = require_int(delta_max, "delta_max", 1)
-    require_int(trunc, f"truncation for delta_max {delta_max}", 10 * delta_max)
     kappa = separation_constant(s)
 
     def check(delta: int) -> SeparationCheck:

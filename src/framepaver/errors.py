@@ -78,7 +78,10 @@ def is_integer(value) -> bool:
 
 
 def _shown(value) -> str:
-    """A number's text, any other value's type name."""
+    """A number's text, any other value's type name; for an integer of more
+    than 1024 bits, whose text is slow and past 4300 digits raises, its size."""
+    if is_integer(value) and (bits := int(value).bit_length()) > 1024:
+        return f"an integer of about {int(bits * math.log10(2)) + 1} digits"
     return str(value) if isinstance(value, numbers.Number) and not isinstance(value, bool) \
         else type(value).__name__
 

@@ -262,8 +262,8 @@ class GramSystem:
 
     def submatrix(self, indices: Iterable[int]) -> np.ndarray:
         """Principal submatrix at the given 1-based indices (given order)."""
-        pos = np.asarray([require_int(i, "index", None) for i in indices], dtype=np.int64)
-        if pos.size and (pos.min() < 1 or pos.max() > self._size):
+        pos = [require_int(i, "index", None) for i in indices]
+        if pos and (min(pos) < 1 or max(pos) > self._size):
             raise IndexBeyondTruncation(
                 f"indices must lie in 1..{self._size}")
         return self._block(pos, pos)
@@ -332,7 +332,8 @@ def entry_bound(g: GramSystem, n: int, m: int) -> Interval:
 
     Within the truncation the stored value is exact, so the interval is a
     point.  Beyond it only the envelope speaks, and only off the diagonal:
-    the tail model never bounds |f_n(tau_n)| from above.
+    the tail model never bounds |f_n(tau_n)| from above.  The upper end,
+    ``bound(d) * _ENVELOPE_UP``, is what construction admits and margins charge.
     """
     n, m = require_int(n, "index n", 1), require_int(m, "index m", 1)
     if n <= g.size and m <= g.size:
@@ -345,7 +346,7 @@ def entry_bound(g: GramSystem, n: int, m: int) -> Interval:
     if g.envelope is None:
         raise IndexBeyondTruncation(
             f"entry ({n}, {m}) is beyond the truncation and no envelope is attached")
-    return Interval(0.0, g.envelope.bound(abs(n - m)))
+    return Interval(0.0, g.envelope.bound(abs(n - m)) * _ENVELOPE_UP)
 
 
 def certified_min_amplitude(g: GramSystem, exponent: float) -> float:

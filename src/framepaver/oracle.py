@@ -30,7 +30,7 @@ def exact_margin(g: GramSystem, members: Sequence[int]) -> float:
     if cls and (cls[0] < 1 or cls[-1] > g.size):
         raise IndexOutOfRange(
             f"class members must lie within the truncation 1..{g.size}")
-    return _explicit_margin(g, cls, None, None)
+    return _explicit_margin(g, cls)
 
 
 def _dfs(g: GramSystem, rows: list[list[float]], labels: list[int], n_limit: int,
@@ -53,7 +53,7 @@ def _dfs(g: GramSystem, rows: list[list[float]], labels: list[int], n_limit: int
     size = len(rows)
     if start == size:
         for cls in classes:
-            if _explicit_margin(g, sorted(labels[i] for i in cls), None, None) < epsilon:
+            if _explicit_margin(g, sorted(labels[i] for i in cls)) < epsilon:
                 return None
         return [list(c) for c in classes]
     row = rows[start]

@@ -248,16 +248,23 @@ class _EnvelopeCharges(dict):
         return charge
 
 
-def _explicit_margin(g: GramSystem, members: Sequence[int],
-                     envelope: DecayEnvelope | None,
-                     diag_floor: float | None) -> float:
+def _tail(g: GramSystem, reach: str) -> DecayEnvelope:
+    """The envelope of ``g`` if it also has a floor, else ``MissingEnvelope``:
+    ``reach`` past the truncation needs whichever of the two is absent."""
+    if g.envelope is None or g.diag_floor is None:
+        missing = "an envelope" if g.envelope is None else "a global diagonal floor"
+        raise MissingEnvelope(f"{reach} needs {missing}")
+    return g.envelope
+
+
+def _explicit_margin(g: GramSystem, members: Sequence[int]) -> float:
     """Largest float at or below the margin of an explicit class, given as
     sorted distinct indices >= 1.
 
     Each row passes to :func:`_min_margin` the stored entries of the members
     within the stored bandwidth b of it, read by :func:`_stored_windows`,
-    where both indices are stored; ``envelope.bound(d) * _ENVELOPE_UP`` at
-    distance d where either is not; and ``diag_floor`` on a diagonal past
+    where both indices are stored; ``g.envelope.bound(d) * _ENVELOPE_UP`` at
+    distance d where either is not; and ``g.diag_floor`` on a diagonal past
     the truncation.  Entries beyond the band are zero and leave an exact sum
     unchanged.  A class of k members inside the truncation costs
     O(k * (b + log k)), and an evenly spaced one only passes the rows
@@ -272,13 +279,10 @@ def _explicit_margin(g: GramSystem, members: Sequence[int],
     rows = range(k)
     if observed == k and len(gaps) == 1:
         rows = _strided_candidates(g, members, gaps.pop()).tolist()
-    elif observed < k and (envelope is None or diag_floor is None):
-        missing = "envelope is available" if envelope is None \
-            else "global diagonal floor is asserted"
-        raise MissingEnvelope(f"class reaches index {members[-1]} beyond the truncation "
-                              f"1..{g.size} and no {missing}")
+    elif observed < k:
+        _tail(g, f"a class reaching index {members[-1]} beyond the truncation 1..{g.size}")
     pos = np.asarray(members, dtype=np.int64)
-    charges = _EnvelopeCharges(envelope)
+    charges = _EnvelopeCharges(g.envelope)
     windows = _stored_windows(g, pos[:observed], rows[:bisect.bisect_left(rows, observed)])
 
     def terms(i):  # rows ascend, so the stored ones come first
@@ -286,7 +290,7 @@ def _explicit_margin(g: GramSystem, members: Sequence[int],
             charges.clear()
         if i >= observed:
             row = list(map(charges.__getitem__, np.abs(pos - pos[i]).tolist()))
-            row[i] = diag_floor
+            row[i] = g.diag_floor
             return row, i
         row, at = next(windows)
         if observed < k:
@@ -321,49 +325,43 @@ def _stored_windows(g: GramSystem, inside: np.ndarray, rows: Sequence[int]):
                     zip(ends.tolist(), n.tolist(), (sel - lo[sel]).tolist()))
 
 
-def _residue_margin(modulus: int, envelope: DecayEnvelope | None,
-                    diag_floor: float | None) -> float:
+def _residue_margin(g: GramSystem, modulus: int) -> float:
     """The certified margin of every residue class mod ``modulus``."""
-    if envelope is None or diag_floor is None:
-        missing = "an envelope" if envelope is None else "a global diagonal floor"
-        raise MissingEnvelope(
-            f"certifying a residue class over all the naturals needs {missing}")
+    envelope = _tail(g, "certifying a residue class over all the naturals")
     # Distances within the class are multiples of the modulus, each hit at
     # most twice (one neighbor on each side), uniformly in the base index.
     # Entries may reach bound * _ENVELOPE_UP; each rounding is nudged safe.
     tail = shifted_power_sum(modulus, envelope.exponent)
     amplitude = math.nextafter(envelope.amplitude * _ENVELOPE_UP, math.inf)
     off_hi = math.nextafter(2.0 * amplitude * tail.hi, math.inf)
-    return math.nextafter(diag_floor - off_hi, -math.inf)
+    return math.nextafter(diag_lower_bound(g).value - off_hi, -math.inf)
 
 
-def class_margin_lower_bound(g: GramSystem, cls,
-                             envelope: DecayEnvelope | None = None,
-                             diag_floor: float | None = None) -> float:
+def class_margin_lower_bound(g: GramSystem, cls) -> float:
     """Certified lower bound on the margin of one class.
 
     ``cls`` is either an explicit sequence of distinct integers >= 1 or a
-    :class:`ResidueClass` over all the naturals.  An explicit class takes
-    one row step: stored entries count exactly, an entry with an index past
-    the truncation as its envelope bound times (1 + 8 eps), and a diagonal
-    past it as the asserted floor; the result is the largest float at or
-    below the margin of those terms, exact for a class inside the
-    truncation.  For a residue class the bound is
+    :class:`ResidueClass` over all the naturals.  Past the truncation only
+    the envelope and floor ``g`` has verified speak (``g.with_envelope``
+    attaches another), and a class reaching there without both raises
+    ``MissingEnvelope``.  An explicit class takes one row step: stored
+    entries count exactly, an entry past the truncation as its envelope
+    bound times (1 + 8 eps), and a diagonal past it as ``g.diag_floor``;
+    the result is the largest float at or below the margin of those terms.
+    For a residue class the bound, uniform over the class, is
 
-        diag_floor - 2*amplitude*(1 + 8 eps)*sum_{k>=1} (1 + k*modulus)**(-exponent)
+        diag_lower_bound(g) - 2*amplitude*(1 + 8 eps)*sum_{k>=1} (1 + k*modulus)**(-exponent)
 
-    with the series enclosed by :func:`shifted_power_sum`; the bound
-    is uniform over the class.  Negative results are legal (they simply fail
-    certification).
+    with the series enclosed by :func:`shifted_power_sum`.  Either way it is
+    the margin :func:`certify` reports for the class.  Negative results are
+    legal (they simply fail certification).
     """
-    if diag_floor is not None:
-        diag_floor = require_real(diag_floor, "diag_floor", 0)
     if isinstance(cls, ResidueClass):
-        return _residue_margin(cls.modulus, envelope, diag_floor)
+        return _residue_margin(g, cls.modulus)
     members = _class_members(cls)
     if members and members[0] < 1:
         raise ValueError(f"indices are 1-based, got {members[0]}")
-    return _explicit_margin(g, members, envelope, diag_floor)
+    return _explicit_margin(g, members)
 
 
 @dataclass(frozen=True)
@@ -414,15 +412,13 @@ def certify(g: GramSystem, paving: Paving, epsilon: float | None = None) -> ARSC
     epsilon = require_real(bound.value / 2.0 if epsilon is None else epsilon, "epsilon", 0)
 
     if paving.range_end is None:
-        floor = bound.value if bound.scope == SCOPE_GLOBAL else None
-        margins = (_residue_margin(paving.modulus, g.envelope, floor),) * paving.modulus
+        margins = (_residue_margin(g, paving.modulus),) * paving.modulus
         scope = SCOPE_GLOBAL
     else:
         if paving.range_end < g.size:
             raise PavingCoverageError(
                 missing=range(paving.range_end + 1, g.size + 1))
-        margins = tuple(_explicit_margin(g, cls, g.envelope, g.diag_floor)
-                        for cls in paving.classes)
+        margins = tuple(_explicit_margin(g, cls) for cls in paving.classes)
         scope = SCOPE_TRUNCATION
 
     verdict = "PASS" if all(m >= epsilon for m in margins) else "FAIL"

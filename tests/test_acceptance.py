@@ -64,7 +64,7 @@ def test_criterion_2_certified_constants():
     assert z4.width <= 1e-9
 
     for s in (1.5, 2.0, 3.0):
-        verdict = verify_separation_bound(s, 50, 100_000)
+        verdict = verify_separation_bound(s, 50)
         assert verdict.passed, s
         assert verdict.worst_ratio <= 1.0, s
 
@@ -81,7 +81,7 @@ def test_criterion_3_specific_modulus_values():
 
 def test_criterion_4_sharp_margin_for_residue_one_mod_three():
     g = power_law_gram(1.0, 2.0, 1.0, 10_000)
-    margin = class_margin_lower_bound(g, ResidueClass(1, 3), g.envelope, 1.0)
+    margin = class_margin_lower_bound(g, ResidueClass(1, 3))
 
     # Independent oracle: compensated sum of 10^6 terms plus integral tail.
     head = math.fsum((1.0 + 3.0 * k) ** (-2.0) for k in range(1, 1_000_001))

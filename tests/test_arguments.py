@@ -18,7 +18,6 @@ from framepaver import bounds
 from framepaver.errors import IndexBeyondTruncation, InvalidExponent, InvalidGramData
 
 G = fp.power_law_gram(1.0, 2.0, 1.0, 6)
-ENV = fp.DecayEnvelope(1.0, 2.0)
 SMALL = fp.GramSystem.from_entries(np.eye(3))
 CERT = fp.certify(G, fp.residue_partition(3, 6), 0.25)
 
@@ -57,9 +56,7 @@ INTEGER_SITES = {
     "residue_partition range_end": Site(lambda v: fp.residue_partition(3, v), 6, 0,
                                         lambda p: p.range_end),
     "verify_separation_bound delta_max": Site(
-        lambda v: fp.verify_separation_bound(2.0, v, 100), 2, 0),
-    "verify_separation_bound trunc": Site(
-        lambda v: fp.verify_separation_bound(2.0, 2, v), 20, 19),
+        lambda v: fp.verify_separation_bound(2.0, v), 2, 0),
     "min_partition cap": Site(lambda v: fp.min_partition(SMALL, cap=v), 3, 0),
 }
 
@@ -82,8 +79,6 @@ REAL_SITES = {
         lambda v: fp.ARSCertificate(CERT.paving, CERT.per_class_margin, v, CERT.scope,
                                     CERT.verdict), 0.25, -0.25, lambda c: c.epsilon),
     "min_partition epsilon": Site(lambda v: fp.min_partition(SMALL, v), 0.5, -0.5),
-    "class_margin_lower_bound diag_floor": Site(
-        lambda v: fp.class_margin_lower_bound(G, fp.ResidueClass(1, 3), ENV, v), 1.0, -1.0),
     "hurwitz_zeta a": Site(lambda v: bounds.hurwitz_zeta(2.0, v), 1.5, 0.0),
     "shifted_power_sum step": Site(lambda v: bounds.shifted_power_sum(v, 2.0), 2.0, 0.5),
     "zeta tol": Site(lambda v: fp.zeta(2.0, v), 1e-9, 0.0),
@@ -141,6 +136,18 @@ def test_rejections_are_value_errors_naming_the_argument():
         fp.certify(G, fp.residue_partition(3, 6), "0.5")
     with pytest.raises(ValueError, match="modulus must be an integer >= 1, got 2.5"):
         fp.residue_partition(2.5, 10)
+
+
+def test_integer_too_long_to_print_is_named_by_its_size():
+    with pytest.raises(InvalidGramData, match="modulus must be an integer >= 1, got an "
+                                              "integer of about 5001 digits"):
+        fp.residue_partition(-10**5000)
+
+
+def test_index_past_int64_is_beyond_the_truncation():
+    for index in (2**70, -2**70):
+        with pytest.raises(IndexBeyondTruncation):
+            fp.GramSystem.from_entries([[1.0]]).submatrix([index])
 
 
 def test_numpy_modulus_certificate_serializes():

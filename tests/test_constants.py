@@ -127,7 +127,7 @@ class TestSeparationConstant:
 
 class TestVerifySeparationBound:
     def test_delta_three_example(self):
-        verdict = verify_separation_bound(2.0, 3, 1_000_000)
+        verdict = verify_separation_bound(2.0, 3)
         d3 = verdict.checks[2]
         assert d3.delta == 3
         # Oracle: 2 * sum (1+3k)^-2 with compensated summation + tail.
@@ -140,7 +140,7 @@ class TestVerifySeparationBound:
         assert d3.measured <= d3.bound
 
     def test_delta_one_closed_form(self):
-        verdict = verify_separation_bound(2.0, 1, 1_000_000)
+        verdict = verify_separation_bound(2.0, 1)
         d1 = verdict.checks[0]
         assert d1.measured == pytest.approx(2.0 * (math.pi**2 / 6.0 - 1.0), abs=1e-5)
         assert d1.bound == pytest.approx(math.pi**2 / 3.0, abs=1e-9)
@@ -150,7 +150,7 @@ class TestVerifySeparationBound:
     def test_measured_is_the_lattice_sum(self, s):
         # 2 * sum_{k>=1} (1 + k*delta)**-s = 2 * delta**-s * zeta(s, 1 + 1/delta)
         with mpmath.workdps(40):
-            for check in verify_separation_bound(s, 12, 120).checks:
+            for check in verify_separation_bound(s, 12).checks:
                 delta = mpmath.mpf(check.delta)
                 exact = 2 * delta ** -s * mpmath.zeta(s, 1 + 1 / delta)
                 assert abs(check.measured - exact) <= 1e-14 * exact, (s, check.delta)
@@ -158,23 +158,21 @@ class TestVerifySeparationBound:
     def test_small_truncation_still_passes(self):
         # The bound is proven; a ratio above 1 would flag an implementation bug.
         for s in (1.5, 2.0, 3.0):
-            verdict = verify_separation_bound(s, 1, 10)
+            verdict = verify_separation_bound(s, 1)
             assert verdict.passed
             assert verdict.worst_ratio <= 1.0
 
     def test_wide_sweep_passes(self):
         for s in (1.5, 2.0, 3.0):
-            verdict = verify_separation_bound(s, 20, 20_000)
+            verdict = verify_separation_bound(s, 20)
             assert verdict.passed
             assert verdict.worst_ratio <= 1.0
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            verify_separation_bound(2.0, 0, 100)
-        with pytest.raises(ValueError):
-            verify_separation_bound(2.0, 10, 50)  # trunc < 10 * delta_max
+            verify_separation_bound(2.0, 0)
         with pytest.raises(InvalidExponent):
-            verify_separation_bound(1.0, 1, 100)
+            verify_separation_bound(1.0, 1)
 
 
 class TestLocalizationConstants:

@@ -29,6 +29,7 @@ from framepaver import (
     power_law_gram,
     verify_envelope,
 )
+from framepaver.gram import _ENVELOPE_UP
 
 small_gram = arrays(
     np.float64, (4, 4),
@@ -171,9 +172,15 @@ class TestEntryBound:
         g = power_law_gram(1.0, 2.0, 1.0, 10)
         iv = entry_bound(g, 1, 101)
         assert iv.lo == 0.0
-        assert iv.hi == pytest.approx(1.0 / 101.0**2, rel=1e-15)
+        assert iv.hi == g.envelope.bound(100) * _ENVELOPE_UP
         iv = entry_bound(g, 1, 100)
-        assert iv.hi == pytest.approx(1.0 / 100.0**2, rel=1e-15)
+        assert iv.hi == g.envelope.bound(99) * _ENVELOPE_UP
+
+    def test_beyond_truncation_covers_what_construction_admits(self):
+        env = DecayEnvelope(1.0, 2.0)
+        h = GramSystem.from_distance_profile([1.0, env.bound(1) * _ENVELOPE_UP], env, 1.0)
+        assert h.entry(1, 2) == 0.25000000000000044
+        assert entry_bound(h, 3, 4).hi == h.entry(1, 2)
 
     def test_beyond_truncation_without_envelope_raises(self):
         g = GramSystem.from_entries([[1.0]])

@@ -24,6 +24,7 @@ from framepaver import (
     choose_modulus,
     class_margin_lower_bound,
     exact_margin,
+    fit_envelope,
     paving_from_json_dict,
     paving_to_json_dict,
     power_law_gram,
@@ -163,7 +164,7 @@ class TestClassMargin:
 
     def test_residue_class_sharp_value(self):
         g = power_law_gram(1.0, 2.0, 1.0, 100)
-        margin = class_margin_lower_bound(g, ResidueClass(1, 3), g.envelope, 1.0)
+        margin = class_margin_lower_bound(g, ResidueClass(1, 3))
         lo, hi = margin_oracle(1.0, 2.0, 1.0, 3)
         assert margin == pytest.approx((lo + hi) / 2.0, abs=1e-3)
         assert margin == pytest.approx(0.7565339, abs=1e-3)
@@ -171,20 +172,24 @@ class TestClassMargin:
 
     def test_residue_margin_beats_crude_bound(self):
         g = power_law_gram(1.0, 2.0, 1.0, 100)
-        margin = class_margin_lower_bound(g, ResidueClass(1, 3), g.envelope, 1.0)
+        margin = class_margin_lower_bound(g, ResidueClass(1, 3))
         crude = 1.0 - separation_constant(2.0) / 9.0
         assert crude == pytest.approx(0.6344591, abs=1e-6)
         assert margin >= crude
 
     def test_residue_class_without_envelope_raises(self):
-        g = GramSystem.from_entries(np.eye(3))
-        with pytest.raises(MissingEnvelope):
-            class_margin_lower_bound(g, ResidueClass(1, 2), None, 1.0)
+        # The second system's row margin is 0.1: no global margin is
+        # certified for it from a tail model it does not carry.
+        for g, cls in ((GramSystem.from_entries(np.eye(3), diag_floor=1.0), ResidueClass(1, 2)),
+                       (GramSystem.from_entries([[1.0, 0.9], [0.9, 1.0]]), ResidueClass(1, 1))):
+            with pytest.raises(MissingEnvelope, match="needs an envelope"):
+                class_margin_lower_bound(g, cls)
 
     def test_residue_class_without_floor_raises(self):
         g = power_law_gram(1.0, 2.0, 1.0, 10)
-        with pytest.raises(MissingEnvelope):
-            class_margin_lower_bound(g, ResidueClass(1, 2), g.envelope, None)
+        g = GramSystem.from_entries(g.dense(), g.envelope)
+        with pytest.raises(MissingEnvelope, match="needs a global diagonal floor"):
+            class_margin_lower_bound(g, ResidueClass(1, 2))
 
     def test_empty_class_is_vacuous(self):
         g = GramSystem.from_entries(np.eye(3))
@@ -193,21 +198,21 @@ class TestClassMargin:
     def test_class_beyond_truncation_uses_envelope(self):
         g = power_law_gram(1.0, 2.0, 1.0, 10)
         members = [1, 4, 7, 10, 13]
-        margin = class_margin_lower_bound(g, members, g.envelope, 1.0)
+        margin = class_margin_lower_bound(g, members)
         # hand bound: the observed part is exact, index 13 contributes
         # through the envelope both ways
         assert margin < 1.0
-        with pytest.raises(MissingEnvelope):
-            class_margin_lower_bound(g, members, None, 1.0)
-        with pytest.raises(MissingEnvelope):
-            class_margin_lower_bound(g, members, g.envelope, None)
+        with pytest.raises(MissingEnvelope, match="index 13 .* needs an envelope"):
+            class_margin_lower_bound(g.with_envelope(None), members)
+        with pytest.raises(MissingEnvelope, match="index 13 .* needs a global diagonal floor"):
+            class_margin_lower_bound(GramSystem.from_entries(g.dense(), g.envelope), members)
 
     def test_certified_bound_monotone_in_truncation(self):
         members = list(range(1, 29, 3))  # {1, 4, ..., 28}
         margins = []
         for size in (10, 20, 30):
             g = power_law_gram(1.0, 2.0, 1.0, size)
-            margins.append(class_margin_lower_bound(g, members, g.envelope, 1.0))
+            margins.append(class_margin_lower_bound(g, members))
         assert margins[0] <= margins[1] <= margins[2]
 
     def test_deeper_truncation_never_raises_exact_margin(self):
@@ -406,7 +411,7 @@ def test_residue_margin_stays_below_pushed_rows(A, s, modulus, size, ulps, data)
         C = math.nextafter(C, math.inf)
     g = GramSystem.from_distance_profile(np.concatenate(([C], off)), env, C)
     offset = data.draw(st.integers(min_value=1, max_value=min(modulus, size)))
-    margin = class_margin_lower_bound(g, ResidueClass(offset, modulus), env, C)
+    margin = class_margin_lower_bound(g, ResidueClass(offset, modulus))
     assert margin <= _worst_row(off, env, C, offset, modulus)
 
 
@@ -444,9 +449,44 @@ def beyond_window_systems(draw):
 @given(beyond_window_systems())
 def test_beyond_window_classes_match_the_envelope_block(system):
     g, members = system
-    env, floor = g.envelope, g.diag_floor
-    expected = _floor_margin(_envelope_block(g, members, env, floor))
-    assert class_margin_lower_bound(g, members, env, floor).hex() == expected.hex()
+    expected = _floor_margin(_envelope_block(g, members, g.envelope, g.diag_floor))
+    assert class_margin_lower_bound(g, members).hex() == expected.hex()
+
+
+@st.composite
+def tail_systems(draw):
+    """A power-law system, or a band system under its fitted envelope with a
+    floor up to the headroom above its smallest diagonal; a modulus; and a
+    range end at or past the truncation."""
+    if draw(st.booleans()):
+        g = power_law_gram(draw(st.floats(min_value=0.1, max_value=4.0)),
+                           draw(st.floats(min_value=1.1, max_value=8.0)),
+                           draw(st.floats(min_value=0.5, max_value=4.0)),
+                           draw(st.integers(min_value=1, max_value=30)))
+    else:
+        h = draw(band_systems())[0]
+        floor = draw(st.floats(min_value=0.0, max_value=float(h.diag().min()) + 1e-9))
+        g = GramSystem.from_entries(h.dense(), fit_envelope(h).envelope, floor)
+    modulus = draw(st.integers(min_value=1, max_value=6))
+    return g, modulus, g.size + draw(st.sampled_from([0, 0, 1, 7, 20]))
+
+
+@given(tail_systems(), st.data())
+def test_class_margin_is_the_certified_margin(system, data):
+    g, modulus, range_end = system
+    residues = certify(g, residue_partition(modulus), 0.0).per_class_margin
+    assert [m.hex() for m in residues] == [
+        class_margin_lower_bound(g, ResidueClass(j, modulus)).hex()
+        for j in range(1, modulus + 1)]
+    labels = data.draw(st.lists(st.integers(min_value=0, max_value=modulus - 1),
+                                min_size=range_end, max_size=range_end))
+    classes = tuple(tuple(i for i, c in enumerate(labels, start=1) if c == k)
+                    for k in range(modulus))
+    for paving in (residue_partition(modulus, range_end),
+                   Paving(classes=classes, modulus=None, range_end=range_end)):
+        margins = certify(g, paving, 0.0).per_class_margin
+        assert [m.hex() for m in margins] == \
+            [class_margin_lower_bound(g, cls).hex() for cls in paving.classes]
 
 
 def test_beyond_window_residue_class_is_small():
@@ -455,7 +495,7 @@ def test_beyond_window_residue_class_is_small():
     g = power_law_gram(1.0, 2.0, 1.0, 40)
     members = residue_partition(3, 6000).classes[0]
     tracemalloc.start()
-    got = class_margin_lower_bound(g, members, g.envelope, g.diag_floor)
+    got = class_margin_lower_bound(g, members)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert got.hex() == "0x1.837589c7caaf9p-1"
