@@ -22,16 +22,14 @@ _HOMES = {name: home for home, names in (
                 "MissingEnvelope", "PavingCoverageError", "WindowTooLong")),
     ("generators", ("FrameSystem", "SpectrumReport", "frame_operator_check",
                     "power_law_gram", "translate_frame_gram")),
-    ("gram", ("SCOPE_GLOBAL", "SCOPE_TRUNCATION", "DecayEnvelope", "DiagonalBound",
-              "EnvelopeVerdict", "GramSystem", "certified_min_amplitude",
+    ("gram", ("DecayEnvelope", "EnvelopeVerdict", "GramSystem", "certified_min_amplitude",
               "diag_lower_bound", "entry_bound", "fit_envelope", "gram_dumps",
-              "gram_from_json_dict", "gram_loads", "gram_to_json_dict",
-              "verify_envelope")),
+              "gram_from_json_dict", "gram_loads", "gram_to_json_dict", "verify_envelope")),
     ("oracle", ("exact_margin", "min_partition")),
-    ("partition", ("ARSCertificate", "Paving", "ResidueClass",
-                   "certificate_from_json_dict", "certificate_to_json_dict", "certify",
-                   "choose_modulus", "class_margin_lower_bound", "paving_from_json_dict",
-                   "paving_to_json_dict", "residue_partition")),
+    ("partition", ("SCOPE_GLOBAL", "SCOPE_TRUNCATION", "ARSCertificate", "Paving",
+                   "ResidueClass", "certificate_from_json_dict", "certificate_to_json_dict",
+                   "certify", "choose_modulus", "class_margin_lower_bound",
+                   "paving_from_json_dict", "paving_to_json_dict", "residue_partition")),
 ) for name in names}
 
 __all__ = sorted(_HOMES)

@@ -78,10 +78,15 @@ def is_integer(value) -> bool:
 
 
 def _shown(value) -> str:
-    """A number's text, any other value's type name; for an integer of more
-    than 1024 bits, whose text is slow and past 4300 digits raises, its size."""
-    if is_integer(value) and (bits := int(value).bit_length()) > 1024:
-        return f"an integer of about {int(bits * math.log10(2)) + 1} digits"
+    """A number's text, any other value's type name.  An integer or a
+    rational with a numerator or denominator of more than 1024 bits, whose
+    text is slow and past 4300 digits raises, is described by its size."""
+    if isinstance(value, numbers.Rational) and not isinstance(value, bool):
+        bits = [int(part).bit_length() for part in (value.numerator, value.denominator)]
+        if max(bits) > 1024:
+            num, den = (int(b * math.log10(2)) + 1 for b in bits)
+            return f"an integer of about {num} digits" if is_integer(value) else \
+                f"a rational whose numerator has about {num} digits and denominator about {den}"
     return str(value) if isinstance(value, numbers.Number) and not isinstance(value, bool) \
         else type(value).__name__
 

@@ -39,9 +39,6 @@ from .errors import (
     require_real,
 )
 
-SCOPE_GLOBAL = "global"
-SCOPE_TRUNCATION = "truncation-only"
-
 # envelope.bound is a pow (within 2 ulp) and a division: relative error at
 # most 5u.  Scaling by 1 + 8 eps and rounding leaves at least 1 + 14u, so a
 # stored entry equal to the bound passes, and an unobserved entry charged
@@ -80,14 +77,6 @@ class Violation(NamedTuple):
 class EnvelopeVerdict:
     passed: bool
     violations: tuple[Violation, ...]
-
-
-@dataclass(frozen=True)
-class DiagonalBound:
-    """Lower bound for the Gram diagonal together with its scope of validity."""
-
-    value: float
-    scope: str
 
 
 @dataclass(frozen=True)
@@ -383,17 +372,12 @@ def verify_envelope(g: GramSystem, envelope: DecayEnvelope) -> EnvelopeVerdict:
     return EnvelopeVerdict(passed=not violations, violations=tuple(violations))
 
 
-def diag_lower_bound(g: GramSystem) -> DiagonalBound:
-    """Certified lower bound for the diagonal, global when a floor is asserted.
-
-    With a floor the bound covers all of the naturals (observed entries for
-    n <= size, the floor beyond); without one it speaks only for the
-    truncation and downstream certificates must stay truncation-scoped.
-    """
+def diag_lower_bound(g: GramSystem) -> float:
+    """Certified lower bound for the diagonal: the smallest stored diagonal
+    entry, and with a floor asserted the smaller of it and the floor, which
+    then bounds the diagonal over all of the naturals."""
     observed = float(g._stored(0).min())
-    if g.diag_floor is not None:
-        return DiagonalBound(min(observed, g.diag_floor), SCOPE_GLOBAL)
-    return DiagonalBound(observed, SCOPE_TRUNCATION)
+    return observed if g.diag_floor is None else min(observed, g.diag_floor)
 
 
 _FIT_GRID = tuple(round(1.1 + 0.1 * i, 1) for i in range(50))

@@ -38,13 +38,14 @@ from .errors import (
 )
 from .gram import (
     _ENVELOPE_UP,
-    SCOPE_GLOBAL,
-    SCOPE_TRUNCATION,
     DecayEnvelope,
     GramSystem,
     _require_numbers,
     diag_lower_bound,
 )
+
+SCOPE_GLOBAL = "global"
+SCOPE_TRUNCATION = "truncation-only"
 
 
 def _class_members(members) -> tuple[int, ...]:
@@ -334,7 +335,7 @@ def _residue_margin(g: GramSystem, modulus: int) -> float:
     tail = shifted_power_sum(modulus, envelope.exponent)
     amplitude = math.nextafter(envelope.amplitude * _ENVELOPE_UP, math.inf)
     off_hi = math.nextafter(2.0 * amplitude * tail.hi, math.inf)
-    return math.nextafter(diag_lower_bound(g).value - off_hi, -math.inf)
+    return math.nextafter(diag_lower_bound(g) - off_hi, -math.inf)
 
 
 def class_margin_lower_bound(g: GramSystem, cls) -> float:
@@ -366,37 +367,36 @@ def class_margin_lower_bound(g: GramSystem, cls) -> float:
 
 @dataclass(frozen=True)
 class ARSCertificate:
-    """Per-class certified margins plus the global verdict.
+    """Per-class certified margins of a paving against ``epsilon``.
 
-    ``scope`` records what the verdict speaks for: "global" only when the
-    paving covers the naturals and both tail assertions (envelope and
-    diagonal floor) were available; anything else is truncation-only and
-    says nothing beyond the stored window.
+    Only the measured values are stored; the verdict and its scope follow
+    from them.  The verdict is PASS when every margin is at least epsilon.
+    Its scope is "global" exactly when the paving covers the naturals
+    (certifying one needs the system's envelope and diagonal floor), else
+    "truncation-only": nothing is said beyond the stored window.
     """
 
     paving: Paving
     per_class_margin: tuple[float, ...]
     epsilon: float
-    scope: str
-    verdict: str
 
     def __post_init__(self):
         object.__setattr__(self, "epsilon", require_real(self.epsilon, "epsilon", 0))
-        expected = "PASS" if all(m >= self.epsilon for m in self.per_class_margin) \
-            else "FAIL"
-        if self.verdict != expected:
-            raise ValueError(f"verdict {self.verdict!r} contradicts margins")
         if len(self.per_class_margin) != self.paving.n_classes:
             raise ValueError(f"{len(self.per_class_margin)} margins for "
                              f"{self.paving.n_classes} classes")
-        if self.scope not in (SCOPE_GLOBAL, SCOPE_TRUNCATION):
-            raise ValueError(f"unknown scope {self.scope!r}")
-        if self.scope == SCOPE_GLOBAL and self.paving.range_end is not None:
-            raise ValueError("a finite paving cannot carry a global scope")
 
     @property
     def passed(self) -> bool:
-        return self.verdict == "PASS"
+        return all(m >= self.epsilon for m in self.per_class_margin)
+
+    @property
+    def verdict(self) -> str:
+        return "PASS" if self.passed else "FAIL"
+
+    @property
+    def scope(self) -> str:
+        return SCOPE_GLOBAL if self.paving.range_end is None else SCOPE_TRUNCATION
 
 
 def certify(g: GramSystem, paving: Paving, epsilon: float | None = None) -> ARSCertificate:
@@ -404,26 +404,19 @@ def certify(g: GramSystem, paving: Paving, epsilon: float | None = None) -> ARSC
 
     ``epsilon`` defaults to half the certified diagonal lower bound, the
     margin the residue construction guarantees.  The paving must cover the
-    system's index range.  Scope is "global" exactly when the paving covers
-    the naturals and the system carries both an envelope and a diagonal
-    floor; a finite paving certifies the truncation only.
+    system's index range; a paving of the naturals needs the system's
+    envelope and diagonal floor (``MissingEnvelope`` otherwise).
     """
-    bound = diag_lower_bound(g)
-    epsilon = require_real(bound.value / 2.0 if epsilon is None else epsilon, "epsilon", 0)
-
+    epsilon = require_real(diag_lower_bound(g) / 2.0 if epsilon is None else epsilon,
+                           "epsilon", 0)
     if paving.range_end is None:
         margins = (_residue_margin(g, paving.modulus),) * paving.modulus
-        scope = SCOPE_GLOBAL
     else:
         if paving.range_end < g.size:
             raise PavingCoverageError(
                 missing=range(paving.range_end + 1, g.size + 1))
         margins = tuple(_explicit_margin(g, cls) for cls in paving.classes)
-        scope = SCOPE_TRUNCATION
-
-    verdict = "PASS" if all(m >= epsilon for m in margins) else "FAIL"
-    return ARSCertificate(paving=paving, per_class_margin=margins,
-                          epsilon=epsilon, scope=scope, verdict=verdict)
+    return ARSCertificate(paving=paving, per_class_margin=margins, epsilon=epsilon)
 
 
 # -- serialization ----------------------------------------------------------
@@ -502,8 +495,12 @@ def certificate_from_json_dict(payload) -> ARSCertificate:
         raise InvalidGramData("only the margin of an empty class may be null")
     loaded = tuple(math.inf if m is None else x for m, x in zip(margins, numbers))
     try:
-        return ARSCertificate(paving=paving, per_class_margin=loaded,
-                              epsilon=epsilon, scope=str(scope),
-                              verdict=str(verdict))
-    except (ValueError, TypeError) as exc:
+        cert = ARSCertificate(paving=paving, per_class_margin=loaded, epsilon=epsilon)
+    except ValueError as exc:
         raise InvalidGramData(f"invalid certificate: {exc}") from None
+    # The stated scope and verdict are checked, never stored.
+    if scope != cert.scope:
+        raise InvalidGramData(f"invalid certificate: scope {scope!r} contradicts paving")
+    if verdict != cert.verdict:
+        raise InvalidGramData(f"invalid certificate: verdict {verdict!r} contradicts margins")
+    return cert

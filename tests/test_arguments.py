@@ -8,6 +8,7 @@ as Python ``int`` or ``float``, and a rejection raises ``InvalidGramData``
 
 import json
 import math
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -76,8 +77,8 @@ REAL_SITES = {
     "certify epsilon": Site(lambda v: fp.certify(G, fp.residue_partition(3, 6), v), 0.25,
                             -0.25, lambda c: c.epsilon),
     "ARSCertificate epsilon": Site(
-        lambda v: fp.ARSCertificate(CERT.paving, CERT.per_class_margin, v, CERT.scope,
-                                    CERT.verdict), 0.25, -0.25, lambda c: c.epsilon),
+        lambda v: fp.ARSCertificate(CERT.paving, CERT.per_class_margin, v), 0.25, -0.25,
+        lambda c: c.epsilon),
     "min_partition epsilon": Site(lambda v: fp.min_partition(SMALL, v), 0.5, -0.5),
     "hurwitz_zeta a": Site(lambda v: bounds.hurwitz_zeta(2.0, v), 1.5, 0.0),
     "shifted_power_sum step": Site(lambda v: bounds.shifted_power_sum(v, 2.0), 2.0, 0.5),
@@ -142,6 +143,16 @@ def test_integer_too_long_to_print_is_named_by_its_size():
     with pytest.raises(InvalidGramData, match="modulus must be an integer >= 1, got an "
                                               "integer of about 5001 digits"):
         fp.residue_partition(-10**5000)
+
+
+@pytest.mark.parametrize("value,shown", [
+    (Fraction(10**5000, 3), "numerator has about 5001 digits and denominator about 1"),
+    (Fraction(1, 10**5000), "numerator has about 1 digits and denominator about 5001"),
+])
+def test_rational_too_long_to_print_is_named_by_its_size(value, shown):
+    with pytest.raises(InvalidGramData, match=f"modulus must be an integer >= 1, got a "
+                                              f"rational whose {shown}"):
+        fp.residue_partition(value)
 
 
 def test_index_past_int64_is_beyond_the_truncation():

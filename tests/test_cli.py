@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import inspect
 import io
 import json
@@ -371,13 +372,23 @@ class TestUsageErrors:
         assert code in (0, 1, 2)
 
 
+def _trace_targets():
+    """(span name, module, attribute path) of every function certbench's
+    tracer wraps, read from its file; it imports only the standard library."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "certbench" / "trace_op.py"
+    spec = importlib.util.spec_from_file_location("trace_op", path)
+    trace_op = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_op)
+    return trace_op.TARGETS
+
+
 class TestLazyImports:
     """Subcommands import only the modules they call."""
 
-    # The names certbench's tracer wraps at framepaver.cli.
-    TRACED = ("certify", "choose_modulus", "gram_from_json_dict", "power_law_gram",
-              "paving_from_json_dict", "certificate_to_json_dict",
-              "LocalizationConstants")
+    TRACED = {f"{module}.{path}": (module, path) for _, module, path in _trace_targets()}
+    # The names the tracer rebinds on framepaver.cli.
+    TRACED_AT_CLI = sorted({path.split(".")[0] for module, path in TRACED.values()
+                            if module == "framepaver.cli"})
 
     @staticmethod
     def python(code):
@@ -410,10 +421,23 @@ print(codes, "numpy" in sys.modules)
             if hasattr(value, "__module__"):
                 assert value.__module__ == home.__name__, name
 
-    @pytest.mark.parametrize("name", TRACED)
+    @pytest.mark.parametrize("target", TRACED)
+    def test_traced_targets_resolve(self, target):
+        # The lookup the tracer makes before it wraps (Recorder.install).
+        module, path = self.TRACED[target]
+        owner = importlib.import_module(module)
+        *outer, attr = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part)
+        raw = owner.__dict__.get(attr) if isinstance(owner, type) \
+            else getattr(owner, attr, None)
+        assert callable(getattr(raw, "__func__", raw)), target
+
+    @pytest.mark.parametrize("name", TRACED_AT_CLI)
     def test_traced_names_resolve_on_the_cli_module(self, name):
         value = getattr(cli, name)
-        assert value is getattr(framepaver, name)
+        if name in framepaver._HOMES:
+            assert value is getattr(framepaver, name)
         assert vars(cli)[name] is value
 
     def test_function_set_before_dispatch_is_called(self, run, tmp_path, monkeypatch):

@@ -11,13 +11,10 @@ from hypothesis.extra.numpy import arrays
 
 from framepaver import (
     DecayEnvelope,
-    DiagonalBound,
     GramSystem,
     IndexBeyondTruncation,
     InvalidExponent,
     InvalidGramData,
-    SCOPE_GLOBAL,
-    SCOPE_TRUNCATION,
     certified_min_amplitude,
     diag_lower_bound,
     entry_bound,
@@ -325,7 +322,7 @@ def test_one_value_bands_validate_in_stored_cost():
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert elapsed < 0.01 and peak < 1_000_000
-    assert diag_lower_bound(g) == DiagonalBound(1.5, SCOPE_GLOBAL)
+    assert diag_lower_bound(g) == 1.5
     assert certified_min_amplitude(g, 2.0) == 0.1 * 4.0
     verdict = verify_envelope(g, DecayEnvelope(0.2, 2.0))
     assert verdict.violations == ((1, 2, 0.1 - 0.2 / 4.0),)
@@ -337,27 +334,30 @@ class TestDiagLowerBound:
     def test_identity_gram(self):
         g = GramSystem.from_entries(np.eye(5))
         bound = diag_lower_bound(g)
-        assert bound.value == 1.0
-        assert bound.scope == SCOPE_TRUNCATION
+        assert bound == 1.0
 
     def test_observed_minimum_without_floor(self):
         g = GramSystem.from_entries(np.diag([2.0, 3.0, 1.5, 2.0]))
         bound = diag_lower_bound(g)
-        assert bound.value == 1.5
-        assert bound.scope == SCOPE_TRUNCATION
+        assert bound == 1.5
 
     def test_asserted_floor_goes_global(self):
         g = GramSystem.from_entries(np.diag([2.0, 3.0, 1.5, 2.0]), diag_floor=1.2)
         bound = diag_lower_bound(g)
-        assert bound.value == 1.2
-        assert bound.scope == SCOPE_GLOBAL
+        assert bound == 1.2
 
     @given(entries=small_gram)
     def test_never_exceeds_any_diagonal_entry(self, entries):
         g = GramSystem.from_entries(entries)
         bound = diag_lower_bound(g)
         for n in range(1, 5):
-            assert bound.value <= g.entry(n, n)
+            assert bound <= g.entry(n, n)
+
+    @pytest.mark.parametrize("floor", [None, 1.2, np.float64(1.2)])
+    def test_is_a_python_float(self, floor):
+        g = GramSystem.from_entries(np.diag(np.array([2.0, 1.5], dtype=np.float32)),
+                                    diag_floor=floor)
+        assert type(diag_lower_bound(g)) is float
 
 
 class TestFitEnvelope:

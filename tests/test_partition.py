@@ -1,3 +1,4 @@
+import json
 import math
 import time
 import tracemalloc
@@ -594,6 +595,20 @@ class TestGershgorinCrossCheck:
                     assert eig >= margin - 1e-10
 
 
+# Certificates by scope and verdict, and one whose empty class has an
+# infinite margin, written as null.
+ROUND_TRIP = {
+    "global-PASS": lambda: certify(power_law_gram(1.0, 2.0, 1.0, 12), residue_partition(3), 0.3),
+    "global-FAIL": lambda: certify(power_law_gram(1.0, 2.0, 1.0, 12), residue_partition(3), 0.8),
+    "truncation-only-PASS": lambda: certify(power_law_gram(1.0, 2.0, 1.0, 12),
+                                            residue_partition(3, 12), 0.3),
+    "truncation-only-FAIL": lambda: certify(power_law_gram(1.0, 2.0, 1.0, 12),
+                                            residue_partition(3, 12), 0.9),
+    "empty-class": lambda: certify(GramSystem.from_entries(np.eye(3)),
+                                   residue_partition(5, 3), 0.5),
+}
+
+
 class TestPavingSerialization:
     def test_round_trip_explicit(self):
         p = residue_partition(3, 10)
@@ -605,11 +620,25 @@ class TestPavingSerialization:
         again = paving_from_json_dict(paving_to_json_dict(p))
         assert again == p
 
-    def test_certificate_round_trip(self):
-        g = power_law_gram(1.0, 2.0, 1.0, 12)
-        cert = certify(g, residue_partition(3, 12), 0.3)
-        again = certificate_from_json_dict(certificate_to_json_dict(cert))
-        assert again == cert
+    @pytest.mark.parametrize("case", ROUND_TRIP, ids=ROUND_TRIP)
+    def test_certificate_round_trip(self, case):
+        cert = ROUND_TRIP[case]()
+        assert f"{cert.scope}-{cert.verdict}" == case or case == "empty-class"
+        text = json.dumps(certificate_to_json_dict(cert), allow_nan=False)
+        assert certificate_from_json_dict(json.loads(text)) == cert
+
+    @pytest.mark.parametrize("case", ROUND_TRIP, ids=ROUND_TRIP)
+    def test_certificate_rejects_flipped_verdict(self, case):
+        payload = certificate_to_json_dict(ROUND_TRIP[case]())
+        payload["verdict"] = {"PASS": "FAIL", "FAIL": "PASS"}[payload["verdict"]]
+        with pytest.raises(InvalidGramData, match="verdict"):
+            certificate_from_json_dict(payload)
+
+    def test_naturals_certificate_cannot_claim_truncation_scope(self):
+        payload = certificate_to_json_dict(ROUND_TRIP["global-PASS"]())
+        payload["scope"] = SCOPE_TRUNCATION
+        with pytest.raises(InvalidGramData, match="scope"):
+            certificate_from_json_dict(payload)
 
     @pytest.mark.parametrize("member", [1.9, True, "1"])
     def test_certificate_rejects_non_integer_member(self, member):
@@ -649,10 +678,3 @@ class TestPavingSerialization:
         payload["scope"] = SCOPE_GLOBAL
         with pytest.raises(InvalidGramData):
             certificate_from_json_dict(payload)
-
-    def test_certificate_round_trip_with_empty_class(self):
-        g = GramSystem.from_entries(np.eye(3))
-        cert = certify(g, residue_partition(5, 3), 0.5)
-        payload = certificate_to_json_dict(cert)
-        assert payload["margins"][4] is None  # inf is not valid JSON
-        assert certificate_from_json_dict(payload) == cert
