@@ -15,7 +15,8 @@ import math
 import sys
 
 from .constants import DEFAULT_SIZE_CAP, LocalizationConstants
-from .errors import FramePaverError, Infeasible, InvalidGramData, parse_json, require_int
+from .errors import (FramePaverError, Infeasible, InvalidGramData, parse_json, require_int,
+                     require_keys)
 
 # The array-backed names the subcommands call are the package's public names
 # (``framepaver._HOMES``).  Each is bound here on first use (``__getattr__``
@@ -178,10 +179,8 @@ def _cmd_gen_translates(args) -> int:
 
 def _cmd_frame_check(args) -> int:
     payload, label = _load_json(args.vectors)
-    if not isinstance(payload, dict) or "vectors" not in payload:
-        raise InvalidGramData(f"{label}: expected an object with 'vectors'")
-    vectors = payload["vectors"]
-    functionals = payload.get("functionals")
+    require_keys(payload, f"{label}: frame input", ("vectors",), ("functionals",))
+    vectors, functionals = payload["vectors"], payload.get("functionals")
     fs = _here.FrameSystem.self_dual(vectors) if functionals is None \
         else _here.FrameSystem(vectors=vectors, functionals=functionals)
     report = _here.frame_operator_check(fs)
@@ -271,8 +270,8 @@ def _cmd_report(args) -> int:
         lines.append(f"  min margin: {min(finite):.9g}")
     if args.oracle:
         opayload, olabel = _load_json(args.oracle)
-        if not isinstance(opayload, dict) or "N" not in opayload:
-            raise InvalidGramData(f"{olabel}: expected oracle output with 'N'")
+        require_keys(opayload, f"{olabel}: oracle output", ("N",),
+                     ("classes", "margins", "compared_modulus"))
         n = require_int(opayload["N"], f"{olabel}: oracle 'N'", 1)
         lines.append("theory vs oracle:")
         lines.append(f"  certified modulus: {p.modulus}")

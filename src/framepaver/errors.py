@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import numbers
+import reprlib
 import sys
 
 
@@ -110,12 +111,31 @@ def require_real(value, what: str, low: float, *, strict: bool = False) -> float
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             out = float(value)
-        except OverflowError:
-            raise InvalidGramData(f"{what} is an integer too large for float64") from None
+        except OverflowError:  # described by its size below
+            out = math.inf
         if math.isfinite(out) and (out > low if strict else out >= low):
             return out
     raise InvalidGramData(f"{what} must be a finite real number {'>' if strict else '>='} "
                           f"{low}, got {_shown(value)}")
+
+
+def require_keys(payload, what: str, required, optional=()) -> dict:
+    """``payload`` when it is a JSON object holding every key of ``required``
+    and none outside ``required`` and ``optional``; otherwise
+    ``InvalidGramData`` naming ``what`` and at most ten keys, never a value."""
+    if not isinstance(payload, dict):
+        raise InvalidGramData(f"{what} must be an object, got {type(payload).__name__}")
+    missing = [k for k in required if k not in payload]
+    unknown = [k for k in payload if k not in required and k not in optional]
+    if missing or unknown:
+        faults = [f"lacks {k!r}" for k in missing] + \
+            [f"has unknown {reprlib.repr(k)}" for k in unknown[:10]]
+        more = len(missing) + len(unknown) - 10
+        raise InvalidGramData(f"{what} {', '.join(faults[:10])}"
+                              + (f" and {more} more" if more > 0 else "")
+                              + f"; it takes keys {list(required)}"
+                              + (f" and optionally {list(optional)}" if optional else ""))
+    return payload
 
 
 def parse_json(text: str, label: str | None = None):

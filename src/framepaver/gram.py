@@ -36,6 +36,7 @@ from .errors import (
     InvalidGramData,
     parse_json,
     require_int,
+    require_keys,
     require_real,
 )
 
@@ -466,22 +467,18 @@ def _require_numbers(values, length: int, what: str) -> np.ndarray:
 
 
 def gram_from_json_dict(payload) -> GramSystem:
-    if not isinstance(payload, dict):
-        raise InvalidGramData(f"gram payload must be an object, got {type(payload).__name__}")
-    missing = {"size", "entries"} - payload.keys()
-    if missing:
-        raise InvalidGramData(f"gram payload lacks required keys {sorted(missing)}")
+    """The system of ``{"size", "entries", "envelope", "diag_floor"}`` (the last
+    two optional, no other key), ``entries`` dense rows or ``{"banded":
+    {"bandwidth", "bands"}}`` and ``envelope`` null or ``{"A", "s"}``."""
+    payload = require_keys(payload, "gram payload", ("size", "entries"),
+                           ("envelope", "diag_floor"))
     size = require_int(payload["size"], "size", 1)
 
     raw = payload["entries"]
     if isinstance(raw, dict):
-        try:
-            spec = raw["banded"]
-            bandwidth = spec["bandwidth"]
-            bands = spec["bands"]
-        except (KeyError, TypeError) as exc:
-            raise InvalidGramData(f"malformed banded entries: {exc!r}") from None
-        require_int(bandwidth, "bandwidth", 0, size - 1)
+        spec = require_keys(require_keys(raw, "entries", ("banded",))["banded"],
+                            "banded entries", ("bandwidth", "bands"))
+        bandwidth, bands = require_int(spec["bandwidth"], "bandwidth", 0, size - 1), spec["bands"]
         if not isinstance(bands, list) or len(bands) != 2 * bandwidth + 1:
             raise InvalidGramData(
                 f"expected {2 * bandwidth + 1} bands for bandwidth {bandwidth}")
@@ -497,13 +494,11 @@ def gram_from_json_dict(payload) -> GramSystem:
             square[r] = _require_numbers(row, size, f"entries row {r}")
         values, lengths = _bands_of_square(square)
 
-    envelope = None
-    env_raw = payload.get("envelope")
-    if env_raw is not None:
-        if not isinstance(env_raw, dict) or set(env_raw) - {"A", "s"}:
-            raise InvalidGramData(f"envelope must be {{'A':..., 's':...}}, got {env_raw!r}")
+    envelope = payload.get("envelope")
+    if envelope is not None:
+        require_keys(envelope, "envelope", ("A", "s"))
         try:
-            envelope = DecayEnvelope(env_raw.get("A"), env_raw.get("s"))
+            envelope = DecayEnvelope(envelope["A"], envelope["s"])
         except InvalidExponent as exc:
             raise InvalidGramData(f"invalid envelope: {exc}") from None
     return GramSystem._from_bands(values, lengths, size, envelope, payload.get("diag_floor"))

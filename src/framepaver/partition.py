@@ -34,6 +34,7 @@ from .errors import (
     PavingCoverageError,
     is_integer,
     require_int,
+    require_keys,
     require_real,
 )
 from .gram import (
@@ -431,17 +432,16 @@ def paving_to_json_dict(p: Paving) -> dict:
 
 
 def paving_from_json_dict(payload) -> Paving:
-    if not isinstance(payload, dict):
-        raise InvalidGramData("paving payload must be an object")
-    rng = payload.get("range")
-    modulus = payload.get("modulus")
-    classes = payload.get("classes")
+    """The paving of ``{"range": n | "naturals", "modulus": M | null, "classes":
+    [[...], ...] | null}``, where ``modulus`` and ``classes`` may be left out."""
+    payload = require_keys(payload, "paving", ("range",), ("modulus", "classes"))
+    rng, classes = payload["range"], payload.get("classes")
     range_end = None if rng == "naturals" else require_int(rng, "range other than 'naturals'", 1)
     if classes is not None:
         if not isinstance(classes, list) or not all(isinstance(c, list) for c in classes):
             raise InvalidGramData("classes must be a list of index lists")
     try:
-        return Paving(classes=classes, modulus=modulus, range_end=range_end)
+        return Paving(classes=classes, modulus=payload.get("modulus"), range_end=range_end)
     except ValueError as exc:
         raise InvalidGramData(f"invalid paving: {exc}") from None
 
@@ -464,28 +464,16 @@ def certificate_to_json_dict(cert: ARSCertificate) -> dict:
 
 
 def certificate_from_json_dict(payload) -> ARSCertificate:
-    if not isinstance(payload, dict):
-        raise InvalidGramData("certificate payload must be an object")
-    try:
-        classes = payload["classes"]
-        rng = payload["range"]
-        margins = payload["margins"]
-        epsilon = payload["epsilon"]
-        scope = payload["scope"]
-        verdict = payload["verdict"]
-    except (KeyError, TypeError) as exc:
-        raise InvalidGramData(f"certificate payload lacks a required key: {exc!r}") from None
-    if not isinstance(classes, dict) or "kind" not in classes:
-        raise InvalidGramData("certificate classes must carry a 'kind'")
-    kind = classes["kind"]
-    if kind == "residues":
-        members, modulus = None, classes.get("modulus")
-    elif kind == "explicit" and isinstance(classes.get("classes"), list):
-        members, modulus = classes["classes"], payload.get("modulus")
-    else:
-        raise InvalidGramData(
-            f"certificate classes must be residues or explicit lists, got kind {kind!r}")
-    paving = paving_from_json_dict({"range": rng, "modulus": modulus, "classes": members})
+    """The certificate of a payload exactly as :func:`certificate_to_json_dict`
+    writes it (a missing top-level ``modulus`` reads as null), built from its
+    ``range``, ``modulus``, class lists, ``margins`` and ``epsilon``."""
+    payload = require_keys(payload, "certificate", ("range", "classes", "margins", "epsilon",
+                                                    "scope", "verdict"), ("modulus",))
+    classes = require_keys(payload["classes"], "certificate classes", ("kind",),
+                           ("modulus", "classes"))
+    paving = paving_from_json_dict({"range": payload["range"], "modulus": payload.get("modulus"),
+                                    "classes": classes.get("classes")})
+    margins = payload["margins"]
     if not isinstance(margins, list):
         raise InvalidGramData("margins must be a list")
     numbers = _require_numbers([0 if m is None else m for m in margins],
@@ -494,13 +482,10 @@ def certificate_from_json_dict(payload) -> ARSCertificate:
            for j, m in enumerate(margins)):
         raise InvalidGramData("only the margin of an empty class may be null")
     loaded = tuple(math.inf if m is None else x for m, x in zip(margins, numbers))
-    try:
-        cert = ARSCertificate(paving=paving, per_class_margin=loaded, epsilon=epsilon)
-    except ValueError as exc:
-        raise InvalidGramData(f"invalid certificate: {exc}") from None
-    # The stated scope and verdict are checked, never stored.
-    if scope != cert.scope:
-        raise InvalidGramData(f"invalid certificate: scope {scope!r} contradicts paving")
-    if verdict != cert.verdict:
-        raise InvalidGramData(f"invalid certificate: verdict {verdict!r} contradicts margins")
+    cert = ARSCertificate(paving=paving, per_class_margin=loaded, epsilon=payload["epsilon"])
+    written = certificate_to_json_dict(cert)
+    differs = [k for k in written if written[k] != payload.get(k)]
+    if differs:
+        raise InvalidGramData(f"invalid certificate: keys {differs} differ from those its "
+                              "range, modulus, class lists, margins and epsilon give")
     return cert

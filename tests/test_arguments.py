@@ -155,6 +155,15 @@ def test_rational_too_long_to_print_is_named_by_its_size(value, shown):
         fp.residue_partition(value)
 
 
+def test_real_too_large_for_float64_is_named_by_its_size():
+    with pytest.raises(InvalidGramData, match="epsilon must be a finite real number >= 0, got a "
+                       "rational whose numerator has about 5001 digits and denominator about 1"):
+        fp.certify(G, fp.residue_partition(3, 6), Fraction(-10**5000, 3))
+    with pytest.raises(InvalidGramData, match="diag_floor must be a finite real number >= 0, "
+                                              "got an integer of about 401 digits"):
+        fp.gram_loads('{"size": 1, "entries": [[1.0]], "diag_floor": 1%s}' % ("0" * 400))
+
+
 def test_index_past_int64_is_beyond_the_truncation():
     for index in (2**70, -2**70):
         with pytest.raises(IndexBeyondTruncation):

@@ -480,3 +480,17 @@ print(code, calls, '"size": 1,' in text.getvalue())
         assert inspect.signature(oracle.min_partition).parameters["cap"].default \
             == constants.DEFAULT_SIZE_CAP
         assert cli._build_parser().parse_args(["oracle"]).cap == constants.DEFAULT_SIZE_CAP
+
+
+class TestEntryPoints:
+    """``python -m framepaver`` and ``python -m framepaver.cli`` run ``dispatch``."""
+
+    @pytest.mark.parametrize("module", ["framepaver", "framepaver.cli"])
+    def test_module_prints_what_dispatch_prints(self, run, module):
+        expected = run(["constants", "--s", "2"])
+        src = str(pathlib.Path(framepaver.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", module, "constants", "--s", "2"],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected
+        assert expected[0] == 0 and expected[1]

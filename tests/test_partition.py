@@ -75,6 +75,20 @@ class TestChooseModulus:
         if m >= 2:
             assert a * kappa / float(m - 1) ** s > c / 2.0
 
+    # The closed form ceil((2*A*kappa/C)**(1/s)) misses by one here, below the
+    # answer and above it, so each of the two correction loops runs.
+    @pytest.mark.parametrize("a,s,c,closed,answer", [
+        (33084.279005661156, 1.68, 1.0, 1737, 1738),
+        (2692.311557803378, 2.0, 0.3, 244, 243),
+    ])
+    def test_correction_loops_fix_the_closed_form(self, a, s, c, closed, answer):
+        kappa = separation_constant(s)
+        radicand = math.nextafter(2.0 * a * kappa / c, math.inf)
+        assert math.ceil(radicand ** (1.0 / s)) == closed
+        assert choose_modulus(a, s, c) == answer
+        assert a * kappa / float(answer) ** s <= c / 2.0
+        assert a * kappa / float(answer - 1) ** s > c / 2.0
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             choose_modulus(-1.0, 2.0, 1.0)
