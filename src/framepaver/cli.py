@@ -177,13 +177,27 @@ def _cmd_gen_translates(args) -> int:
     return 0
 
 
+def _frame_rows(rows, what: str) -> list:
+    """The rows of a non-empty JSON list of equally long, non-empty rows of
+    finite numbers, each read by the gram entries' number rule; errors name
+    ``what``."""
+    from .gram import _require_numbers
+
+    if not (isinstance(rows, list) and rows and isinstance(rows[0], list) and rows[0]):
+        raise InvalidGramData(f"{what} must be a non-empty list of non-empty rows")
+    return [_require_numbers(row, len(rows[0]), f"{what} row {r}") for r, row in enumerate(rows)]
+
+
 def _cmd_frame_check(args) -> int:
     payload, label = _load_json(args.vectors)
-    require_keys(payload, f"{label}: frame input", ("vectors",), ("functionals",))
-    vectors, functionals = payload["vectors"], payload.get("functionals")
-    fs = _here.FrameSystem.self_dual(vectors) if functionals is None \
-        else _here.FrameSystem(vectors=vectors, functionals=functionals)
-    report = _here.frame_operator_check(fs)
+    try:
+        require_keys(payload, "frame input", ("vectors",), ("functionals",))
+        vectors, functionals = _frame_rows(payload["vectors"], "vectors"), payload.get("functionals")
+        fs = _here.FrameSystem.self_dual(vectors) if functionals is None else \
+            _here.FrameSystem(vectors=vectors, functionals=_frame_rows(functionals, "functionals"))
+        report = _here.frame_operator_check(fs)
+    except FramePaverError as exc:
+        raise InvalidGramData(f"{label}: {exc}") from None
     _emit({
         "dim": report.dim,
         "count": report.count,
@@ -233,8 +247,11 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    g, _ = _load(args.input, "gram_from_json_dict")
-    n, paving = _here.min_partition(g, epsilon=args.epsilon, cap=args.cap)
+    g, label = _load(args.input, "gram_from_json_dict")
+    try:
+        n, paving = _here.min_partition(g, epsilon=args.epsilon, cap=args.cap)
+    except InvalidGramData as exc:
+        raise InvalidGramData(f"{label}: {exc}") from None
     compared = None
     if g.envelope is not None and g.diag_floor is not None:
         compared = _here.choose_modulus(g.envelope.amplitude, g.envelope.exponent,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import require_exponent
-from .errors import DimensionMismatch, WindowTooLong, require_int, require_real
+from .errors import DimensionMismatch, InvalidGramData, WindowTooLong, require_int, require_real
 from .gram import DecayEnvelope, GramSystem
 
 
@@ -128,9 +128,13 @@ def frame_operator_check(fs: FrameSystem) -> SpectrumReport:
     fewer vectors than dimensions leaves S rank-deficient, which the same
     cutoff reports as non-invertible.  When the functionals are the vectors
     themselves S is symmetric positive semidefinite and its eigenvalues are
-    reported alongside.
+    reported alongside.  An S whose entries, or those of S + S^T, overflow
+    float64 raises ``InvalidGramData``.
     """
-    S = fs.vectors.T @ fs.functionals
+    with np.errstate(over="ignore"):
+        S = fs.vectors.T @ fs.functionals
+        if not np.isfinite(S + S.T).all():
+            raise InvalidGramData("the frame operator overflows float64")
     svals = np.linalg.svd(S, compute_uv=False)
     self_dual = bool(np.array_equal(fs.vectors, fs.functionals))
     eigenvalues = None

@@ -12,9 +12,9 @@ from typing import Sequence
 
 from .bounds import _EPS
 from .constants import DEFAULT_SIZE_CAP
-from .errors import Infeasible, IndexOutOfRange, require_int, require_real
+from .errors import Infeasible, IndexOutOfRange, InvalidGramData, require_int, require_real
 from .gram import GramSystem
-from .partition import Paving, _class_members, _explicit_margin
+from .partition import Paving, _class_members, _explicit_margin, _min_margin
 
 
 def exact_margin(g: GramSystem, members: Sequence[int]) -> float:
@@ -33,55 +33,57 @@ def exact_margin(g: GramSystem, members: Sequence[int]) -> float:
     return _explicit_margin(g, cls)
 
 
-def _dfs(g: GramSystem, rows: list[list[float]], labels: list[int], n_limit: int,
-         epsilon: float, floor: float, classes: list[list[int]],
-         margins: list[list[float]], start: int):
+def _dfs(rows: list[list[float]], n_limit: int, epsilon: float, floor: float,
+         classes: list[list[int]], margins: list[list[float]], start: int):
     """Depth-first assignment of positions start..T-1; returns position classes or None.
 
-    Position p stands for the 1-based index ``labels[p]``, and ``rows`` is
-    G with its rows and columns in that order.  Classes only open in
-    position order, so each set partition is enumerated once, and a
+    ``rows`` is G with its rows and columns in position order.  Classes only
+    open in position order, so each set partition is enumerated once, and a
     position may only join a class whose running margins all stay at or
     above ``floor``, epsilon less a rounding allowance: entries are
     nonnegative, so margins only fall as a class grows and such branches
-    can never recover.  That pruning holds whatever order the positions
-    come in, so the search is exhaustive in any order.  A complete
-    assignment maps its positions back to labels and is re-checked with the
-    exact class margin, so a returned assignment is an exactly feasible
-    paving and the allowance only keeps rounding from pruning one.
+    never recover, in any order of the positions: the search is exhaustive.
+    One pass over a class lowers its margins, stops at the first below
+    ``floor`` and sums the new row's mass.  A complete assignment re-checks
+    each class with :func:`_min_margin` on the held rows, the exact margin
+    rounded down in any order, so a returned assignment is an exactly
+    feasible paving and the allowance only keeps rounding from pruning one.
     """
     size = len(rows)
     if start == size:
         for cls in classes:
-            if _explicit_margin(g, sorted(labels[i] for i in cls)) < epsilon:
+            if _min_margin(([rows[n][m] for m in cls], i)
+                           for i, n in enumerate(cls)) < epsilon:
                 return None
         return [list(c) for c in classes]
     row = rows[start]
     diag = row[start]
     for c, mem in enumerate(classes):
-        mass = 0.0
-        for j in mem:
-            mass += row[j]
-        new_margin = diag - mass
-        if new_margin < floor:
-            continue
         saved = margins[c]
-        updated = [m - rows[j][start] for m, j in zip(saved, mem)]
-        if min(updated) < floor:
-            continue
-        updated.append(new_margin)
-        margins[c] = updated
-        mem.append(start)
-        hit = _dfs(g, rows, labels, n_limit, epsilon, floor, classes, margins, start + 1)
-        mem.pop()
-        margins[c] = saved
-        if hit is not None:
-            return hit
+        updated, mass = [], 0.0
+        for m, j in zip(saved, mem):
+            m -= rows[j][start]
+            if m < floor:
+                break
+            updated.append(m)
+            mass += row[j]
+        else:
+            new_margin = diag - mass
+            if new_margin < floor:
+                continue
+            updated.append(new_margin)
+            margins[c] = updated
+            mem.append(start)
+            hit = _dfs(rows, n_limit, epsilon, floor, classes, margins, start + 1)
+            mem.pop()
+            margins[c] = saved
+            if hit is not None:
+                return hit
     if len(classes) == n_limit or diag < floor:
         return None
     classes.append([start])
     margins.append([diag])
-    hit = _dfs(g, rows, labels, n_limit, epsilon, floor, classes, margins, start + 1)
+    hit = _dfs(rows, n_limit, epsilon, floor, classes, margins, start + 1)
     classes.pop()
     margins.pop()
     return hit
@@ -112,7 +114,7 @@ def min_partition(g: GramSystem, epsilon: float = 1e-12,
     """
     size = g.size
     if size > require_int(cap, "cap", 1):
-        raise ValueError(f"instance size {size} exceeds the search cap {cap}")
+        raise InvalidGramData(f"instance size {size} exceeds the search cap {cap}")
     epsilon = require_real(epsilon, "epsilon", 0)
     G = g.dense()
     low_diag = [n + 1 for n in range(size) if G[n, n] < epsilon]
@@ -127,11 +129,10 @@ def min_partition(g: GramSystem, epsilon: float = 1e-12,
     slack = [row[n] - (sum(row) - row[n]) for n, row in enumerate(rows)]
     order = sorted(range(size), key=slack.__getitem__)
     tight = [[rows[p][q] for q in order] for p in order]
-    tight_labels = [p + 1 for p in order]
     for n_limit in range(1, size + 1):
-        if _dfs(g, tight, tight_labels, n_limit, epsilon, floor, [], [], 0) is not None:
+        if _dfs(tight, n_limit, epsilon, floor, [], [], 0) is not None:
             break
-    hit = _dfs(g, rows, list(range(1, size + 1)), n_limit, epsilon, floor, [], [], 0)
+    hit = _dfs(rows, n_limit, epsilon, floor, [], [], 0)
     if hit is None:
         raise Infeasible(  # pragma: no cover
             f"no index-order paving at the proven count {n_limit}")

@@ -216,6 +216,12 @@ class TestOracleCommand:
         assert code == 2
         assert "infeasible" in err
 
+    def test_size_past_the_cap_names_the_file(self, run, tmp_path):
+        path = write_gram(tmp_path, "big.json", np.eye(20).tolist())
+        code, out, err = run(["oracle", "--input", str(path)])
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: instance size 20 exceeds the search cap 16\n"
+
     def test_compared_modulus_with_tail_model(self, run):
         _, gram_text, _ = run(["gen", "power-law", "--A", "1", "--s", "2",
                                "--C", "1", "--size", "12"])

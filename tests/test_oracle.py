@@ -18,6 +18,7 @@ from framepaver import (
     power_law_gram,
 )
 from framepaver import oracle
+from framepaver.partition import _explicit_margin
 
 
 def constant_offdiag(size, off, diag=1.0):
@@ -95,9 +96,8 @@ def index_order_deepening(g, epsilon):
     mass = float(G.sum(axis=1).max()) + float(G.diagonal().max())
     floor = epsilon - 64.0 * oracle._EPS * (mass + 1.0) * g.size
     rows = G.tolist()
-    labels = list(range(1, g.size + 1))
     for n in range(1, g.size + 1):
-        hit = oracle._dfs(g, rows, labels, n, epsilon, floor, [], [], 0)
+        hit = oracle._dfs(rows, n, epsilon, floor, [], [], 0)
         if hit is not None:
             return n, tuple(tuple(i + 1 for i in cls) for cls in hit)
     return None
@@ -212,7 +212,7 @@ class TestMinPartition:
 
     def test_cap_enforced_and_overridable(self):
         g = GramSystem.from_entries(np.eye(17))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidGramData, match="instance size 17 exceeds the search cap 16"):
             min_partition(g, 1e-12)
         n, _ = min_partition(g, 1e-12, cap=17)
         assert n == 1
@@ -288,3 +288,41 @@ class TestMinPartition:
         assert n == brute_force_min(g, epsilon)
         assert (n, paving.classes) == index_order_deepening(g, epsilon)
         assert paving.classes == brute_force_first_witness(g, epsilon, n)
+
+
+@st.composite
+def held_classes(draw):
+    """A dense system of size 1-7, symmetric or not, one class of it, and an
+    order of its indices.  Each row of the class keeps a drawn diagonal, or
+    gets one equal to the float sum of its off-diagonal class entries, or
+    one ulp either side of that sum plus 0.25."""
+    t = draw(st.integers(min_value=1, max_value=7))
+    off = st.floats(min_value=0.0, max_value=1.0)
+    e = np.array(draw(st.lists(st.lists(off, min_size=t, max_size=t),
+                               min_size=t, max_size=t)))
+    if draw(st.booleans()):
+        e = np.triu(e, 1) + np.triu(e, 1).T
+    cls = sorted(draw(st.sets(st.integers(0, t - 1), min_size=1)))
+    for n in range(t):
+        mass = math.fsum(e[n, m] for m in cls if m != n)
+        e[n, n] = draw(st.sampled_from([
+            float(e[n, n]) + 0.5, mass, math.nextafter(mass + 0.25, -math.inf),
+            math.nextafter(mass + 0.25, math.inf)]))
+    return e, cls, draw(st.permutations(range(t)))
+
+
+@settings(max_examples=300)
+@given(held_classes())
+def test_leaf_recheck_is_the_explicit_margin_bit_for_bit(instance):
+    """A complete assignment holding one class accepts it at epsilon exactly
+    when the class's _explicit_margin is at least epsilon, on rows in any
+    order: at the margin itself, one ulp above it and at 0.25 and its
+    neighbours, which the drawn diagonals put on either side of a row margin."""
+    e, cls, order = instance
+    margin = _explicit_margin(GramSystem.from_entries(e), [n + 1 for n in cls])
+    rows = [[float(e[p, q]) for q in order] for p in order]
+    held = sorted(order.index(n) for n in cls)
+    for epsilon in (margin, math.nextafter(margin, math.inf), 0.0, 0.25,
+                    math.nextafter(0.25, -math.inf), math.nextafter(0.25, math.inf)):
+        hit = oracle._dfs(rows, 1, epsilon, -math.inf, [held], [], len(rows))
+        assert (hit is not None) == (margin >= epsilon), epsilon

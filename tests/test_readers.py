@@ -9,6 +9,7 @@ the form its writer writes.
 import copy
 import io
 import json
+import warnings
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -203,3 +204,24 @@ def test_large_unknown_envelope_key_gives_a_short_error(run):
     code, out, err = run(["partition"], stdin_text=json.dumps(gram))
     assert (code, out) == (1, "")
     assert "'zeros'" in err and len(err.encode()) < 200
+
+
+@pytest.mark.parametrize("text,fault", [
+    ('{"vectors": [[1, true], [0, 1]]}', "vectors row 0 must hold numbers only, got bool"),
+    ('{"vectors": [[[1]]]}', "vectors row 0 must hold numbers only, got list"),
+    ('{"vectors": "abc"}', "vectors must be a non-empty list of non-empty rows"),
+    ('{"vectors": [[1, 0], [0, 1]], "functionals": [[1e400, 0], [0, 1]]}',
+     "functionals row 0 must be finite"),
+    ('{"vectors": [[1, 0], [0]]}', "vectors row 1 must be a list of 2 numbers"),
+    ('{"vectors": [[]]}', "vectors must be a non-empty list of non-empty rows"),
+    ('{"vectors": [[1e200, 0], [0, 1]]}', "the frame operator overflows float64"),
+    ('{"vectors": [[1e200, 0], [1e200, 1]], "functionals": [[1e200, 0], [-1e200, 1]]}',
+     "the frame operator overflows float64"),
+])
+def test_frame_input_values_follow_the_number_rule(run, tmp_path, text, fault):
+    path = tmp_path / "frame.json"
+    path.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["gen", "frame-check", "--vectors", str(path)])
+    assert (code, out, err) == (1, "", f"error: {path}: {fault}\n")
