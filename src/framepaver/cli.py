@@ -16,7 +16,7 @@ import sys
 
 from .constants import DEFAULT_SIZE_CAP, LocalizationConstants
 from .errors import (FramePaverError, Infeasible, InvalidGramData, parse_json, require_int,
-                     require_keys)
+                     require_keys, require_real)
 
 # The array-backed names the subcommands call are the package's public names
 # (``framepaver._HOMES``).  Each is bound here on first use (``__getattr__``
@@ -247,10 +247,11 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    cap, epsilon = require_int(args.cap, "cap", 1), require_real(args.epsilon, "epsilon", 0)
     g, label = _load(args.input, "gram_from_json_dict")
     try:
-        n, paving = _here.min_partition(g, epsilon=args.epsilon, cap=args.cap)
-    except InvalidGramData as exc:
+        n, paving = _here.min_partition(g, epsilon=epsilon, cap=cap)
+    except InvalidGramData as exc:  # arguments are checked, so the instance exceeds the cap
         raise InvalidGramData(f"{label}: {exc}") from None
     compared = None
     if g.envelope is not None and g.diag_floor is not None:

@@ -221,6 +221,8 @@ class TestOracleCommand:
         code, out, err = run(["oracle", "--input", str(path)])
         assert (code, out) == (1, "")
         assert err == f"error: {path}: instance size 20 exceeds the search cap 16\n"
+        code, out, err = run(["oracle", "--input", str(path), "--cap", "0"])
+        assert (code, out, err) == (1, "", "error: cap must be an integer >= 1, got 0\n")
 
     def test_compared_modulus_with_tail_model(self, run):
         _, gram_text, _ = run(["gen", "power-law", "--A", "1", "--s", "2",
