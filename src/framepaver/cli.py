@@ -129,8 +129,8 @@ def _load(path: str | None, reader: str):
 
     The name is looked up on this module, so a wrapper bound here is called,
     and only after the parse, so numpy is imported once the text is freed
-    (imported first, it raises the peak RSS of ``partition`` on a 28 MB file
-    by 11 MB).
+    (imported first, it raises the peak RSS of ``partition`` on the 22.7 MB
+    text of a 1000-index power law by 13 MB).
     """
     payload, label = _load_json(path)
     try:
@@ -140,16 +140,25 @@ def _load(path: str | None, reader: str):
 
 
 def _emit(payload, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    _write(text, out)
+    _write([json.dumps(payload, indent=2, allow_nan=False) + "\n"], out)
 
 
-def _write(text: str, out: str | None) -> None:
+def _write(pieces, out: str | None) -> None:
+    """Write the text ``pieces``, in order and as they come, to the file
+    ``out`` or to stdout, so a generator of pieces is never joined."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
+
+
+def _write_gram(g, out: str | None) -> None:
+    """Write the wire text of ``g`` (what ``gram_dumps`` returns) piece by
+    piece, so the whole text is never held."""
+    from .gram import _wire_pieces
+
+    _write(_wire_pieces(g), out)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -163,8 +172,7 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_gen_power_law(args) -> int:
-    g = _here.power_law_gram(args.A, args.s, args.C, args.size)
-    _write(_here.gram_dumps(g), args.out)
+    _write_gram(_here.power_law_gram(args.A, args.s, args.C, args.size), args.out)
     return 0
 
 
@@ -173,28 +181,17 @@ def _cmd_gen_translates(args) -> int:
         window = [float(v) for v in args.window.split(",") if v.strip() != ""]
     except ValueError:
         raise ValueError(f"--window must be comma-separated numbers, got {args.window!r}")
-    _write(_here.gram_dumps(_here.translate_frame_gram(window, args.period)), args.out)
+    _write_gram(_here.translate_frame_gram(window, args.period), args.out)
     return 0
-
-
-def _frame_rows(rows, what: str) -> list:
-    """The rows of a non-empty JSON list of equally long, non-empty rows of
-    finite numbers, each read by the gram entries' number rule; errors name
-    ``what``."""
-    from .gram import _require_numbers
-
-    if not (isinstance(rows, list) and rows and isinstance(rows[0], list) and rows[0]):
-        raise InvalidGramData(f"{what} must be a non-empty list of non-empty rows")
-    return [_require_numbers(row, len(rows[0]), f"{what} row {r}") for r, row in enumerate(rows)]
 
 
 def _cmd_frame_check(args) -> int:
     payload, label = _load_json(args.vectors)
     try:
         require_keys(payload, "frame input", ("vectors",), ("functionals",))
-        vectors, functionals = _frame_rows(payload["vectors"], "vectors"), payload.get("functionals")
+        vectors, functionals = payload["vectors"], payload.get("functionals")
         fs = _here.FrameSystem.self_dual(vectors) if functionals is None else \
-            _here.FrameSystem(vectors=vectors, functionals=_frame_rows(functionals, "functionals"))
+            _here.FrameSystem(vectors=vectors, functionals=functionals)
         report = _here.frame_operator_check(fs)
     except FramePaverError as exc:
         raise InvalidGramData(f"{label}: {exc}") from None
@@ -215,7 +212,7 @@ def _cmd_fit(args) -> int:
     g, _ = _load(args.input, "gram_from_json_dict")
     fit = _here.fit_envelope(g)
     if args.apply:
-        _write(_here.gram_dumps(g.with_envelope(fit.envelope)), args.apply)
+        _write_gram(g.with_envelope(fit.envelope), args.apply)
     _emit({"envelope": {"A": fit.envelope.amplitude, "s": fit.envelope.exponent},
            "objective": fit.objective}, args.out)
     return 0
@@ -296,7 +293,7 @@ def _cmd_report(args) -> int:
         lines.append(f"  oracle minimum:    {n}")
         if p.modulus is not None:
             lines.append(f"  gap:               {p.modulus - n}")
-    _write("\n".join(lines) + "\n", args.out)
+    _write(["\n".join(lines) + "\n"], args.out)
     return 0
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .bounds import require_exponent
 from .errors import DimensionMismatch, InvalidGramData, WindowTooLong, require_int, require_real
-from .gram import DecayEnvelope, GramSystem
+from .gram import DecayEnvelope, GramSystem, _library_floats
 
 
 def power_law_gram(amplitude: float, exponent: float, diag: float,
@@ -48,7 +48,7 @@ def translate_frame_gram(window, period: int) -> GramSystem:
     wrap around, so line-distance decay fails near the corners and callers
     fit their own model if they want one.
     """
-    w = np.asarray(window, dtype=np.float64)
+    w = _library_floats(window, "window", 1)
     period = require_int(period, "period", 1)
     if w.ndim != 1 or w.size < 1:
         raise ValueError("window must be a nonempty vector")
@@ -70,14 +70,18 @@ def translate_frame_gram(window, period: int) -> GramSystem:
 @dataclass(frozen=True)
 class FrameSystem:
     """T vectors and T functionals in d-dimensional real space, paired by dot
-    product."""
+    product.
+
+    Each is a float64 array, or rows of numbers read by the number rule of
+    JSON input, so a bool or a string is an ``InvalidGramData``.
+    """
 
     vectors: np.ndarray
     functionals: np.ndarray
 
     def __post_init__(self):
-        v = np.atleast_2d(np.asarray(self.vectors, dtype=np.float64))
-        f = np.atleast_2d(np.asarray(self.functionals, dtype=np.float64))
+        v = np.atleast_2d(_library_floats(self.vectors, "vectors", 2))
+        f = np.atleast_2d(_library_floats(self.functionals, "functionals", 2))
         if v.shape != f.shape:
             raise DimensionMismatch(
                 f"vectors have shape {v.shape} but functionals {f.shape}")
@@ -92,7 +96,7 @@ class FrameSystem:
 
     @classmethod
     def self_dual(cls, vectors) -> "FrameSystem":
-        v = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
+        v = _library_floats(vectors, "vectors", 2)
         return cls(vectors=v, functionals=v)
 
     @property

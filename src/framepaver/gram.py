@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -133,7 +133,7 @@ class GramSystem:
     def from_entries(cls, entries, envelope: DecayEnvelope | None = None,
                      diag_floor: float | None = None) -> "GramSystem":
         """Construction from a square array of moduli."""
-        arr = np.asarray(entries, dtype=np.float64)
+        arr = _library_floats(entries, "entries", 2)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise InvalidGramData(f"entries must be a square matrix, got shape {arr.shape}")
         size = int(arr.shape[0])
@@ -146,7 +146,7 @@ class GramSystem:
 
         ``profile`` has length size; profile[0] is the diagonal value.
         """
-        prof = np.asarray(profile, dtype=np.float64)
+        prof = _library_floats(profile, "distance profile", 1)
         if prof.ndim != 1 or prof.size < 1:
             raise InvalidGramData("distance profile must be a nonempty vector")
         return cls._from_bands(np.concatenate((prof[:0:-1], prof)),
@@ -162,7 +162,7 @@ class GramSystem:
         ``profile`` has length size//2 + 1, indexed by cyclic distance; the
         system stores the distance profile it implies.
         """
-        prof = np.asarray(profile, dtype=np.float64)
+        prof = _library_floats(profile, "cyclic profile", 1)
         size = require_int(size, "size", 1)
         if prof.ndim != 1 or prof.size != size // 2 + 1:
             raise InvalidGramData(
@@ -418,9 +418,12 @@ def fit_envelope(g: GramSystem) -> EnvelopeFit:
 # row); band i holds the diagonal at offset i - b, length size - |offset|;
 # entries beyond the band are implicitly zero.  Both forms load through
 # GramSystem._from_bands, so the same entries get the same storage either
-# way; dense rows fill a size x size array whose diagonals are read up to
-# the last nonzero offset first.  The writer picks whichever form stores
-# fewer numbers, so serialization is content-deterministic.
+# way; each dense row, once checked, is scattered into the full-width bands
+# of one size x size buffer, which _from_bands trims.  The writer picks
+# whichever form stores fewer numbers, so serialization is
+# content-deterministic, and lays the text out on one line as json.dumps
+# does by default (", " and ": " separators, no indentation).  The reader
+# takes any JSON layout, the older indented text included.
 
 
 def gram_to_json_dict(g: GramSystem) -> dict:
@@ -461,15 +464,45 @@ def _require_numbers(values, length: int, what: str) -> np.ndarray:
         out = np.array(values, dtype=np.float64)
     except OverflowError:
         raise InvalidGramData(f"{what} holds an integer too large for float64") from None
-    if not (out.min() > -math.inf and out.max() < math.inf):  # NaN fails both
+    # NaN fails both; the initial value only lets an empty list pass
+    if not (out.min(initial=0.0) > -math.inf and out.max(initial=0.0) < math.inf):
         raise InvalidGramData(f"{what} must be finite")
     return out
+
+
+def _library_floats(values, what: str, ndim: int) -> np.ndarray:
+    """Float64 array of a library caller's vector (``ndim`` 1) or rows
+    (``ndim`` 2), by the number rule of JSON input.
+
+    A float64 ndarray is taken as it is, with no pass over its values.  Any
+    other input, another ndarray included (through ``tolist``), must be a
+    list of numbers, or a non-empty list of equally long, non-empty lists of
+    numbers, and goes through ``_require_numbers`` once per row; errors name
+    ``what``.  The caller checks the shape it needs.
+    """
+    if isinstance(values, np.ndarray):
+        if values.dtype == np.float64:
+            return values
+        values = values.tolist()
+    if ndim == 1:
+        if not isinstance(values, list):
+            raise InvalidGramData(f"{what} must be a list of numbers or a float64 array")
+        return _require_numbers(values, len(values), what)
+    if not (isinstance(values, list) and values and isinstance(values[0], list) and values[0]):
+        raise InvalidGramData(f"{what} must be a non-empty list of non-empty rows")
+    return np.array([_require_numbers(row, len(values[0]), f"{what} row {r}")
+                     for r, row in enumerate(values)])
 
 
 def gram_from_json_dict(payload) -> GramSystem:
     """The system of ``{"size", "entries", "envelope", "diag_floor"}`` (the last
     two optional, no other key), ``entries`` dense rows or ``{"banded":
-    {"bandwidth", "bands"}}`` and ``envelope`` null or ``{"A", "s"}``."""
+    {"bandwidth", "bands"}}`` and ``envelope`` null or ``{"A", "s"}``.
+
+    Dense rows are checked to be ``size`` lists of ``size`` values before
+    their one size x size buffer is allocated, so that buffer is never
+    larger than the parsed payload.
+    """
     payload = require_keys(payload, "gram payload", ("size", "entries"),
                            ("envelope", "diag_floor"))
     size = require_int(payload["size"], "size", 1)
@@ -489,10 +522,17 @@ def gram_from_json_dict(payload) -> GramSystem:
     else:
         if not isinstance(raw, list) or len(raw) != size:
             raise InvalidGramData(f"entries must be {size} rows")
-        square = np.empty((size, size))
         for r, row in enumerate(raw):
-            square[r] = _require_numbers(row, size, f"entries row {r}")
-        values, lengths = _bands_of_square(square)
+            if not isinstance(row, list) or len(row) != size:
+                raise InvalidGramData(f"entries row {r} must be a list of {size} numbers")
+        # The bands of every offset -(size - 1)..size - 1; row r's entry c
+        # is element min(r, c) of band c - r.
+        lengths = size - np.abs(np.arange(1 - size, size))
+        start = np.cumsum(lengths) - lengths
+        values, cols = np.empty(size * size), np.arange(size)
+        for r, row in enumerate(raw):
+            values[start[size - 1 - r:2 * size - 1 - r] + np.minimum(cols, r)] = \
+                _require_numbers(row, size, f"entries row {r}")
 
     envelope = payload.get("envelope")
     if envelope is not None:
@@ -504,39 +544,46 @@ def gram_from_json_dict(payload) -> GramSystem:
     return GramSystem._from_bands(values, lengths, size, envelope, payload.get("diag_floor"))
 
 
-def gram_dumps(g: GramSystem) -> str:
-    """The wire text of ``g``: the bytes of
-    ``json.dumps(gram_to_json_dict(g), indent=2, allow_nan=False) + "\n"``.
+def _wire_pieces(g: GramSystem) -> Iterator[str]:
+    """The wire text of ``g`` in pieces: a header, one piece per dense row or
+    band, and a trailer.
 
     Each stored value is formatted once, by the ``float.__repr__`` the JSON
-    encoder uses, and the rows or bands are laid out by indexing those
-    strings, so no size x size list of floats is built and the pure-Python
-    encoder that ``indent`` selects never sees the entries.  A Toeplitz
-    system still goes out as dense rows: a compact Toeplitz form waits on
-    certbench, whose check of ``gen`` output reads dense rows.
+    encoder uses, and each row or band is laid out by indexing those
+    strings, so no size x size list of floats is built, and a writer that
+    passes the pieces on holds one row of text at a time.
     """
     n, b = g.size, g.bandwidth()
     text = np.array(list(map(float.__repr__, g._data.tolist())), dtype=object)
     if (2 * b + 1) * n - b * (b + 1) < n * n:  # false only at b = n - 1: all stored
-        head = f'{{\n  "size": {n},\n  "entries": {{\n    "banded": {{\n' \
-               f'      "bandwidth": {b},\n      "bands": [\n        [\n          '
-        sep, gap, close = ",\n          ", "\n        ],\n        [\n          ", \
-            "\n        ]\n      ]\n    }\n  }"
+        yield f'{{"size": {n}, "entries": {{"banded": {{"bandwidth": {b}, "bands": ['
         rows = (g._positions(r, r + o) for o in range(-b, b + 1)
                 for r in [np.arange(max(0, -o), n - max(0, o))])
+        close = "]}}"
     else:
-        head = f'{{\n  "size": {n},\n  "entries": [\n    [\n      '
-        sep, gap, close = ",\n      ", "\n    ],\n    [\n      ", "\n    ]\n  ]"
+        yield f'{{"size": {n}, "entries": ['
         cols = np.arange(n)
         rows = (g._positions(r, cols) for r in range(n))
-    envelope = "null" if g.envelope is None else '{\n    "A": %r,\n    "s": %r\n  }' % (
-        g.envelope.amplitude, g.envelope.exponent)
-    floor = "null" if g.diag_floor is None else repr(g.diag_floor)
-    pieces = [head]
+        close = "]"
+    sep = "["
     for at in rows:
-        pieces += (sep.join(text[at].tolist()), gap)
-    pieces[-1] = f'{close},\n  "envelope": {envelope},\n  "diag_floor": {floor}\n}}\n'
-    return "".join(pieces)
+        yield "".join((sep, ", ".join(text[at].tolist()), "]"))
+        sep = ", ["
+    envelope = "null" if g.envelope is None else \
+        f'{{"A": {g.envelope.amplitude!r}, "s": {g.envelope.exponent!r}}}'
+    floor = "null" if g.diag_floor is None else repr(g.diag_floor)
+    yield f'{close}, "envelope": {envelope}, "diag_floor": {floor}}}\n'
+
+
+def gram_dumps(g: GramSystem) -> str:
+    """The wire text of ``g``: the bytes of
+    ``json.dumps(gram_to_json_dict(g), allow_nan=False) + "\n"``, that is
+    json's default layout on one line, built by joining ``_wire_pieces``.
+
+    A Toeplitz system still goes out as dense rows: a compact Toeplitz form
+    waits on certbench, whose check of ``gen`` output reads dense rows.
+    """
+    return "".join(_wire_pieces(g))
 
 
 def gram_loads(text: str) -> GramSystem:

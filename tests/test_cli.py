@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import mpmath
 import numpy as np
@@ -100,6 +101,19 @@ class TestGenCommand:
                                 "--C", "2", "--size", "5"])
         assert code_a == code_b == 0
         assert out_a == out_b
+
+    def test_stdout_pipe_matches_the_file_route(self, run, tmp_path):
+        gen = ["gen", "power-law", "--A", "1", "--s", "2", "--C", "1", "--size", "8"]
+        code, text, _ = run(gen)
+        assert code == 0
+        assert text == gram_dumps(framepaver.power_law_gram(1.0, 2.0, 1.0, 8))
+        code, piped, _ = run(["partition"], stdin_text=text)
+        assert code == 0
+        gram, cert = tmp_path / "g.json", tmp_path / "cert.json"
+        assert run([*gen, "--out", str(gram)])[0] == 0
+        assert run(["partition", "--input", str(gram), "--out", str(cert)])[0] == 0
+        assert gram.read_text(encoding="utf-8") == text
+        assert cert.read_text(encoding="utf-8") == piped
 
     def test_translates(self, run):
         code, out, _ = run(["gen", "translates", "--window", "1,1", "--period", "4"])
@@ -368,6 +382,23 @@ class TestUsageErrors:
         assert code == 1
         assert err.startswith(f"error: {path}: ") and fault in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", [["partition"], ["fit"],
+                                         ["certify", "--paving", "{paving}"]])
+    def test_declared_size_past_the_rows_is_rejected_before_allocating(
+            self, run, tmp_path, command):
+        # 10^5 empty rows, 0.4 MB of text, declare a 74.5 GiB square
+        size = 100_000
+        path, paving = tmp_path / "huge.json", tmp_path / "paving.json"
+        path.write_text('{"size": %d, "entries": [%s]}' % (size, ", ".join(["[]"] * size)),
+                        encoding="utf-8")
+        paving.write_text('{"range": 1, "classes": [[1]]}', encoding="utf-8")
+        argv = [arg.format(paving=paving) for arg in command]
+        started = time.perf_counter()
+        code, out, err = run([*argv, "--input", str(path)])
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: entries row 0 must be a list of {size} numbers\n"
 
     @given(text=st.text(max_size=300))
     def test_arbitrary_stdin_never_panics(self, text):

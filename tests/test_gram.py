@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import time
 import tracemalloc
 
@@ -26,7 +27,7 @@ from framepaver import (
     power_law_gram,
     verify_envelope,
 )
-from framepaver.gram import _ENVELOPE_UP
+from framepaver.gram import _ENVELOPE_UP, _wire_pieces
 
 small_gram = arrays(
     np.float64, (4, 4),
@@ -445,7 +446,7 @@ class TestSerialization:
     @example(_system([[-0.0], [2.0, 5e-324, 1e300, 2.0, 2.0, 2.0], [0.1]], 6, True, False))
     @example(_system([[0.5], [-0.0, 1e300], [2.0, 5e-324, 1.0], [0.1, 0.0], [0.5]], 3, False, True))
     def test_writer_matches_the_json_encoder(self, g):
-        expected = json.dumps(gram_to_json_dict(g), indent=2, allow_nan=False) + "\n"
+        expected = json.dumps(gram_to_json_dict(g), allow_nan=False) + "\n"
         assert gram_dumps(g) == expected
 
     def test_writer_peak_stays_under_three_texts(self):
@@ -458,6 +459,31 @@ class TestSerialization:
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             assert peak < 3 * len(text)
+
+    @given(stored_systems())
+    def test_indented_text_loads_to_the_same_storage(self, g):
+        # the layout gram_dumps wrote before it dropped the indentation
+        indented = json.dumps(gram_to_json_dict(g), indent=2, allow_nan=False) + "\n"
+        assert _layout(gram_loads(indented)) == _layout(g)
+
+    def test_dense_reader_holds_one_square(self):
+        size = 1000
+        payload = json.loads(gram_dumps(power_law_gram(1.0, 2.0, 1.0, size)))
+        tracemalloc.start()
+        g = gram_from_json_dict(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert g._data.size == 2 * size - 1
+        assert peak < 1.25 * 8 * size * size
+
+    def test_streamed_writer_holds_one_row(self):
+        g = power_law_gram(1.0, 2.0, 1.0, 1000)
+        with open(os.devnull, "w", encoding="utf-8") as sink:
+            tracemalloc.start()
+            sink.writelines(_wire_pieces(g))
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_dense_round_trip_bit_identical(self):
         g = power_law_gram(1.0, 2.0, 1.0, 6)

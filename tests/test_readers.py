@@ -225,3 +225,32 @@ def test_frame_input_values_follow_the_number_rule(run, tmp_path, text, fault):
         warnings.simplefilter("error")
         code, out, err = run(["gen", "frame-check", "--vectors", str(path)])
     assert (code, out, err) == (1, "", f"error: {path}: {fault}\n")
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: fp.FrameSystem(vectors=[[1, True], ["0", 1]],
+                                        functionals=[[1, 0], [0, 1]]), id="FrameSystem"),
+    pytest.param(lambda: fp.FrameSystem.self_dual([[1.0, None], [0.0, 1.0]]),
+                 id="FrameSystem.self_dual"),
+    pytest.param(lambda: fp.GramSystem.from_entries([[1, True], [0, 1]]), id="from_entries"),
+    pytest.param(lambda: fp.GramSystem.from_entries(np.array([[True, False], [False, True]])),
+                 id="from_entries-bool-array"),
+    pytest.param(lambda: fp.GramSystem.from_entries([[1.0, 0.0], [0.0]]),
+                 id="from_entries-ragged"),
+    pytest.param(lambda: fp.GramSystem.from_distance_profile([1, "0.5"]),
+                 id="from_distance_profile"),
+    pytest.param(lambda: fp.GramSystem.from_cyclic_profile([1.0, "0.5"], 2),
+                 id="from_cyclic_profile"),
+    pytest.param(lambda: fp.translate_frame_gram([True, 1], 4), id="translate_frame_gram"),
+])
+def test_library_arrays_follow_the_number_rule(call):
+    with pytest.raises(InvalidGramData):
+        call()
+
+
+def test_library_float64_arrays_and_number_lists_give_the_same_system():
+    rows = [[1, 0.25], [0.5, 2]]
+    listed, arrayed = fp.GramSystem.from_entries(rows), fp.GramSystem.from_entries(
+        np.array(rows, dtype=np.float64))
+    assert listed._data.tobytes() == arrayed._data.tobytes()
+    assert fp.GramSystem.from_entries(np.array(rows, dtype=np.float32)).dense().tolist() == rows
